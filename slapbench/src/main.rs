@@ -308,6 +308,8 @@ struct Summary {
     /// Pooled over the primary class: it falls inside the slowest kind's
     /// own distribution, so no seam between kinds moves it.
     p90_ms: f64,
+    /// Per-frame medians of the 2048² frames, averaged, for the same
+    /// reason as `p50_ms`: the offline deck entries do not overlap.
     large_p50_ms: f64,
     primary: usize,
     /// Samples of the primary kind that has the fewest.
@@ -318,19 +320,29 @@ struct Summary {
 }
 
 fn summarize(m: &Measured, ok: &[bool], kind: impl Fn(&Job) -> Option<usize>) -> Summary {
+    let in_window = |w: usize| {
+        m.jobs
+            .iter()
+            .zip(ok)
+            .filter(move |(j, _)| stats::window_of(j.start_s, m.seconds) == w)
+    };
+    let first_starts: Vec<Option<f64>> = (0..stats::WINDOWS)
+        .map(|w| in_window(w).map(|(j, _)| j.start_s).min_by(f64::total_cmp))
+        .collect();
+    let end_s = m
+        .jobs
+        .iter()
+        .map(|j| j.start_s + j.lat_ms / 1e3)
+        .fold(0.0, f64::max);
+    let wall = stats::window_spans(&first_starts, end_s);
     let mut rates = Vec::new();
-    for w in 0..stats::WINDOWS {
-        let in_window = || {
-            m.jobs
-                .iter()
-                .zip(ok)
-                .filter(move |(j, _)| stats::window_of(j.start_s, m.seconds) == w)
-        };
-        let verified = in_window().filter(|(_, ok)| **ok).count() as f64;
+    for (w, wall_s) in wall.into_iter().enumerate() {
+        let Some(wall_s) = wall_s else { continue };
+        let verified = in_window(w).filter(|(_, ok)| **ok).count() as f64;
         let span_s = if m.rate_over_busy {
-            in_window().map(|(j, _)| j.lat_ms).sum::<f64>() / 1e3
+            in_window(w).map(|(j, _)| j.lat_ms).sum::<f64>() / 1e3
         } else {
-            m.seconds / stats::WINDOWS as f64
+            wall_s
         };
         rates.push(verified / span_s);
     }
@@ -343,12 +355,15 @@ fn summarize(m: &Measured, ok: &[bool], kind: impl Fn(&Job) -> Option<usize>) ->
             kinds[k].push(j.lat_ms);
         }
     }
-    let large: Vec<f64> = m
-        .jobs
-        .iter()
-        .filter(|j| j.large)
-        .map(|j| j.lat_ms)
-        .collect();
+    // Large frames grouped by frame: the deck entries offline, the one
+    // 2048² frame on the serve workloads.
+    let mut large: Vec<Vec<f64>> = Vec::new();
+    for j in m.jobs.iter().filter(|j| j.large) {
+        if large.len() <= j.frame {
+            large.resize(j.frame + 1, Vec::new());
+        }
+        large[j.frame].push(j.lat_ms);
+    }
     let fmt = |v: &[f64]| {
         v.iter()
             .map(|x| format!("{x:.3}"))
@@ -364,7 +379,7 @@ fn summarize(m: &Measured, ok: &[bool], kind: impl Fn(&Job) -> Option<usize>) ->
         } else {
             stats::percentile(&pooled, 900)
         },
-        large_p50_ms: median_or_nan(&large),
+        large_p50_ms: stats::balanced_percentile(&large, 500),
         primary: kinds.iter().map(Vec::len).sum(),
         thinnest: kinds.iter().map(Vec::len).min().unwrap_or(0),
         detail: format!(

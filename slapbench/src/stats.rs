@@ -59,6 +59,31 @@ pub fn window_of(start_s: f64, seconds: f64) -> usize {
     ((start_s / seconds * WINDOWS as f64) as usize).min(WINDOWS - 1)
 }
 
+/// Wall time of each window of a closed loop, given the start of each
+/// window's first job (`None` when a window holds no job) and `end_s`, when
+/// the loop's last job ended. A window runs from its first start to the
+/// next window's first start; the last one to `end_s`. The span so matches
+/// the whole jobs counted in it: with a fixed window length, traffic that
+/// moves in cycles (every 32nd serve job is a 2048² frame that stalls both
+/// clients) puts a whole number of cycles in most windows and the rate
+/// reads the same quantised value run after run. A window without jobs has
+/// no span; its time goes to the window before it.
+pub fn window_spans(first_starts: &[Option<f64>], end_s: f64) -> Vec<Option<f64>> {
+    first_starts
+        .iter()
+        .enumerate()
+        .map(|(w, from)| {
+            let to = first_starts[w + 1..]
+                .iter()
+                .flatten()
+                .next()
+                .copied()
+                .unwrap_or(end_s);
+            from.map(|from| to - from)
+        })
+        .collect()
+}
+
 /// Sorts `samples` ascending (NaN-free input; timings and counts only).
 pub fn sorted(mut samples: Vec<f64>) -> Vec<f64> {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("samples are never NaN"));
@@ -127,6 +152,15 @@ mod tests {
         assert_eq!(window_of(seconds - 0.001, seconds), WINDOWS - 1);
         // A job submitted at the very end still lands in the last window.
         assert_eq!(window_of(seconds, seconds), WINDOWS - 1);
+    }
+
+    #[test]
+    fn window_spans_run_from_first_start_to_the_next() {
+        let spans = window_spans(&[Some(0.0), None, Some(2.5), Some(3.0), Some(4.25)], 5.5);
+        assert_eq!(spans, [Some(2.5), None, Some(0.5), Some(1.25), Some(1.25)]);
+        // The spans of the windows with jobs add up to the whole loop.
+        let total: f64 = spans.iter().flatten().sum();
+        assert_eq!(total, 5.5);
     }
 
     #[test]
