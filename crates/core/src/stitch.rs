@@ -1,8 +1,8 @@
 //! Step 3 of Algorithm CC: the per-PE stitch of the left- and
 //! right-connected labelings — plus [`stitch_bands`], the same union/min
 //! argument generalized from column seams to horizontal band seams (the
-//! reconciliation step of the host-side strip-parallel engine,
-//! `slap_image::fast::parallel`).
+//! reconciliation step of the host-side tiled engine's strip shape,
+//! `slap_image::fast::tiled`).
 //!
 //! Each PE holds, for every foreground row `j` of its column, a left label
 //! `leftlabel[j]` (minimum column-major position of the pixel's component

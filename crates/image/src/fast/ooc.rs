@@ -239,17 +239,32 @@ impl OutOfCoreLabeler {
     /// carried frontier. Component order is retirement order; sort for the
     /// canonical order, or use [`RetiredComponent::label`] with
     /// `stats.rows` for the paper's labels.
+    ///
+    /// A source of zero width, or a band of `band_rows × cols` pixels that
+    /// does not fit the `u32` run-index space, is rejected up front with
+    /// [`io::ErrorKind::InvalidInput`].
     pub fn label_source<S: RowSource>(
         &mut self,
         src: &mut S,
         conn: Connectivity,
     ) -> io::Result<OocRun> {
         let cols = src.cols();
-        assert!(cols > 0, "out-of-core source must have positive width");
-        assert!(
-            (self.band_rows as u64) * (cols as u64) < u32::MAX as u64,
-            "band must fit the u32 run-index space; lower --band-rows"
-        );
+        if cols == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "out-of-core source must have positive width",
+            ));
+        }
+        if (self.band_rows as u64) * (cols as u64) >= u32::MAX as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a band of {} rows x {cols} cols overflows the u32 run-index space; \
+                     lower --band-rows",
+                    self.band_rows
+                ),
+            ));
+        }
         // Reset carried state from any previous frame.
         self.prev_runs.clear();
         self.prev_slots.clear();
@@ -744,5 +759,40 @@ mod tests {
                 fast_labels_conn(&line, conn).component_count()
             );
         }
+    }
+
+    #[test]
+    fn bad_band_shapes_are_invalid_input_not_panics() {
+        // A band of band_rows × cols pixels must fit the u32 run-index space.
+        let img = gen::uniform_random(64, 64, 0.5, 1);
+        let mut lab = OutOfCoreLabeler::new(100_000_000, 1);
+        let err = lab
+            .label_source(&mut BitmapRows::new(&img), Connectivity::Four)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("--band-rows"), "{err}");
+        // Zero width has no band to label.
+        struct Empty;
+        impl RowSource for Empty {
+            fn cols(&self) -> usize {
+                0
+            }
+            fn next_row(&mut self, _: &mut Vec<u64>) -> io::Result<bool> {
+                Ok(false)
+            }
+        }
+        let mut lab = OutOfCoreLabeler::new(16, 1);
+        let err = lab
+            .label_source(&mut Empty, Connectivity::Four)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // The rejection leaves the labeler usable.
+        let run = lab
+            .label_source(&mut BitmapRows::new(&img), Connectivity::Four)
+            .unwrap();
+        assert_eq!(
+            run.components.len(),
+            fast_labels_conn(&img, Connectivity::Four).component_count()
+        );
     }
 }

@@ -1,12 +1,22 @@
 //! 2-D tiled run-based labeling: a grid of rectangular tiles labeled
 //! concurrently, seams merged hierarchically.
 //!
-//! The strip engine ([`super::parallel`]) stops scaling when rows are short
-//! and thread counts grow — its 1-D seams are as long as the image is wide,
-//! and there is one per worker. This engine generalizes the decomposition to
-//! a `tiles_y × tiles_x` grid, the shape Stout's optimal mesh-labeling
-//! analysis prescribes (arXiv:1502.01435): seam work then grows with the
-//! tile *perimeter*, not the image width, and the seams merge in a balanced
+//! This is the multi-core counterpart of the sequential [`super`] engine and
+//! the host-side analogue of the paper's scan-line decomposition: where the
+//! SLAP gives every image *column* its own PE and reconciles the per-column
+//! views with a stitch (Algorithm CC step 3, `slap_cc::stitch`), this engine
+//! gives every worker a rectangle of the image and reconciles the tiles
+//! with seam passes — the local-scan → merge → relabel shape of the
+//! parallel two-pass CCL literature (strips: Gupta et al.,
+//! arXiv:1606.05973; blocks: Chen et al., arXiv:1712.09789).
+//!
+//! A `t × 1` grid is the strip decomposition: `t` full-width bands, one seam
+//! per band boundary (the registry's `parallel` engine). Strips stop scaling
+//! when rows are short and thread counts grow — their seams are as long as
+//! the image is wide, and there is one per worker — so the grid generalizes
+//! to `tiles_y × tiles_x`, the shape Stout's optimal mesh-labeling analysis
+//! prescribes (arXiv:1502.01435): seam work then grows with the tile
+//! *perimeter*, not the image width, and the seams merge in a balanced
 //! pairwise-doubling order so each level halves the number of unmerged
 //! regions. The phases:
 //!
@@ -14,22 +24,27 @@
 //!    run-extraction + union–find pass over its own rectangular window
 //!    ([`FastLabeler`]'s column-window variant), with *local* run indices
 //!    but **global** run bounds and minimum-position payloads;
-//! 2. **relocation (parallel per band)** — tiles are interleaved row-by-row
-//!    into one global arena laid out exactly like the sequential engine's
-//!    (runs in (row, column) order, a global per-row run table), remapping
+//! 2. **relocation (parallel per band)** — tiles are placed into one global
+//!    arena laid out exactly like the sequential engine's (runs in (row,
+//!    column) order, a global per-row run table). A band of one tile is
+//!    already in that order and relocates by offset, adding the band base to
+//!    each parent; a wider band interleaves its tiles row by row, remapping
 //!    each tile-local parent through a per-tile index map;
 //! 3. **hierarchical seam merge (sequential, tiny)** — vertical seams first
 //!    (per band, runs clipped at a tile's column boundary are looked up by
 //!    binary search and unioned across it, with diagonal reach at 8-conn),
-//!    then full-width horizontal band seams (the word-level `AND` adjacency
-//!    at 4-conn, the dilated-AND sweep at 8 — both shared with the strip
-//!    engine). Boundaries are processed in pairwise-doubling order —
-//!    level ℓ merges the boundaries at odd multiples of `2^ℓ` — and each
-//!    level's seam count and union count are recorded
-//!    ([`TiledLabeler::seam_levels`]);
-//! 4. **flatten (parallel per band)** — the strip engine's scheme verbatim:
-//!    a sequential `O(seam runs)` pre-pass finalizes recorded seam losers,
-//!    then each band's ascending sweep reads only its own nodes;
+//!    then full-width horizontal band seams (word-level `AND` adjacency at
+//!    4-conn; for 8, the same sweep over the *dilated* upper row,
+//!    `upper | upper<<1 | upper>>1` — see
+//!    [`crate::bitmap::for_each_diagonal_pair`]). Boundaries are processed
+//!    in pairwise-doubling order — level ℓ merges the boundaries at odd
+//!    multiples of `2^ℓ` — and each level's seam count and union count are
+//!    recorded ([`TiledLabeler::seam_levels`]);
+//! 4. **flatten (parallel per band)** — a tiny sequential `O(seam runs)`
+//!    pre-pass finalizes the recorded seam-loser chains, after which each
+//!    band's ascending sweep only ever reads its own nodes (every remaining
+//!    parent points down *within* the band), so the bands flatten
+//!    concurrently;
 //! 5. **output (parallel per band)** — run-at-a-time label fills into
 //!    disjoint row bands of the [`LabelGrid`].
 //!
@@ -39,14 +54,14 @@
 //! including the four-corner point where four tiles meet — by the full-width
 //! horizontal seam. The result is **bit-identical** to
 //! [`super::fast_labels_conn`] and the BFS oracle for every image,
-//! connectivity, tile shape, and thread count.
+//! connectivity, tile shape, and thread count: labels are component minima,
+//! which no decomposition can change.
 //!
 //! The out-of-core scheduler ([`super::ooc`]) reuses phases 1–4 through
 //! `TiledLabeler::build_arena` to label one band of tiles at a time.
 
-use super::parallel::{find_pure, seam_union_eight_words, seam_union_four};
 use super::{link_roots, FastLabeler, MIN_HALF};
-use crate::bitmap::{dilate_words_into, Bitmap};
+use crate::bitmap::{dilate_words_into, for_each_diagonal_pair, for_each_run_in_words, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
 
@@ -352,8 +367,12 @@ impl TiledLabeler {
             }
             band_base.push(total);
         }
-        // Same packed-word overflow guard as the strip engine: a parent
-        // index at or above 2^32 - 1 would carry into the `min_pos` half.
+        // Phase 2 adds band bases to packed `min_pos << 32 | parent` words
+        // and remaps parents into the global index space; a parent index at
+        // or above 2^32 - 1 would carry into (and silently corrupt) the
+        // `min_pos` half. The guard can only fire if the LabelGrid
+        // pixel-count assertion is ever relaxed: the run count never exceeds
+        // the pixel count.
         assert!(
             total < u32::MAX as usize,
             "{total} runs overflow the packed u32 parent index space"
@@ -362,13 +381,19 @@ impl TiledLabeler {
 
         // Phase 2: relocate tiles into the global arenas, parallel over
         // bands (a band owns a contiguous global index range and its own
-        // tiles). A tile-local parent always points to a smaller local
-        // index, and local index order is (row, column) order, so the
-        // per-tile map entry for a parent is already written when its child
-        // is relocated.
-        for (k, map) in self.l2g[..ntiles].iter_mut().enumerate() {
-            map.clear();
-            map.resize(self.tiles[k].runs.len(), 0);
+        // tiles). A band of one tile already has the global (row, column)
+        // order, so it relocates by offset: copy the runs and add the band
+        // base to each packed parent (the guard above keeps the addition in
+        // the parent half). A wider band interleaves its tiles row by row
+        // and remaps each parent through the per-tile index map: a
+        // tile-local parent always points to a smaller local index, and
+        // local index order is (row, column) order, so the map entry for a
+        // parent is already written when its child is relocated.
+        if tx > 1 {
+            for (k, map) in self.l2g[..ntiles].iter_mut().enumerate() {
+                map.clear();
+                map.resize(self.tiles[k].runs.len(), 0);
+            }
         }
         self.runs.clear();
         self.runs.resize(total, 0);
@@ -389,6 +414,14 @@ impl TiledLabeler {
                 let gbase = band_base[i];
                 let band_rows = rb[i + 1] - rb[i];
                 s.spawn(move || {
+                    if let [tile] = tiles_band {
+                        runs_dst.copy_from_slice(&tile.runs);
+                        let b = gbase as u64;
+                        for (dst, &n) in node_dst.iter_mut().zip(&tile.node) {
+                            *dst = n + b;
+                        }
+                        return;
+                    }
                     let mut g = 0usize;
                     for lr in 0..band_rows {
                         for (j, tile) in tiles_band.iter().enumerate() {
@@ -411,9 +444,9 @@ impl TiledLabeler {
 
         // Phase 3: hierarchical seam merge. Level ℓ of the pairwise-doubling
         // schedule merges the boundaries at odd multiples of 2^ℓ — after it,
-        // runs of 2^(ℓ+1) tiles are connected. Vertical seams go first (they
-        // stay within a band; their parents never cross band flatten
-        // domains... they do stay in-band), then the full-width horizontal
+        // runs of 2^(ℓ+1) tiles are connected. Vertical seams go first (both
+        // runs of every link lie in one band, so no parent they write
+        // leaves that band's flatten domain), then the full-width horizontal
         // band seams, which also cover every diagonal straddling a band
         // boundary — including the four-corner points.
         self.seam_losers.clear();
@@ -509,10 +542,12 @@ impl TiledLabeler {
             level += 1;
         }
 
-        // Phase 4a: finalize the seam losers (sequential, O(seam runs)).
-        // Identical to the strip engine: chasing a loser's chain ends at a
-        // true root holding the component minimum; writing that packed value
-        // back along the path makes every cross-band parent final.
+        // Phase 4a: finalize the seam losers (sequential, O(seam runs) —
+        // independent of the band sizes). Chasing a loser's chain ends at a
+        // true root holding the component minimum (link_roots keeps minima
+        // at survivors); writing that packed value back along the path makes
+        // every cross-band parent final, so the per-band sweeps below never
+        // read another band's (concurrently mutated) nodes.
         for i in 0..self.seam_losers.len() {
             let mut x = self.seam_losers[i];
             self.chase.clear();
@@ -665,6 +700,138 @@ fn union_pair(node: &mut [u64], a: usize, b: usize, losers: &mut Vec<u32>) {
     link_roots(node, ra, rb);
 }
 
+/// Read-only find over the packed nodes. The seam passes deliberately do
+/// **not** path-halve: halving could rewrite a non-root node's parent onto a
+/// cross-band ancestor, breaking the phase-4a invariant that only recorded
+/// seam losers carry cross-band parents. Chains are at most a few seam
+/// links long (one per tile a component spans), so pure finds stay cheap.
+fn find_pure(node: &[u64], mut x: u32) -> u32 {
+    loop {
+        let p = node[x as usize] as u32;
+        if p == x {
+            return x;
+        }
+        x = p;
+    }
+}
+
+/// 4-connectivity horizontal seam union: every maximal run of `and_words`
+/// (`seam_row & row_above`) marks one required union between a run of the
+/// lower seam row (runs start at global index `cur_lo`) and one of the upper
+/// row (starting at `prev_lo`). Unlike the fused in-tile merge, *both*
+/// sides need a find — each row has already been unioned into its band.
+/// Each root that loses a link is appended to `losers` for the flatten
+/// pre-pass.
+fn seam_union_four(
+    node: &mut [u64],
+    runs: &[u64],
+    and_words: &[u64],
+    cols: usize,
+    cur_lo: usize,
+    prev_lo: usize,
+    losers: &mut Vec<u32>,
+) {
+    let mut c = cur_lo; // cursor over the lower row's runs
+    let mut q = prev_lo; // cursor over the upper row's runs
+    let mut root = u32::MAX; // cached surviving root of run `c`'s set
+    for_each_run_in_words(and_words, cols, |s, _| {
+        let s = s as u64;
+        // Advance to the runs containing column `s`; both exist because `s`
+        // is a set bit of both rows.
+        if root == u32::MAX || (runs[c] & 0xffff_ffff) < s {
+            while (runs[c] & 0xffff_ffff) < s {
+                c += 1;
+            }
+            root = find_pure(node, c as u32);
+        }
+        while (runs[q] & 0xffff_ffff) < s {
+            q += 1;
+        }
+        let rq = find_pure(node, q as u32);
+        if rq != root {
+            losers.push(root.max(rq));
+        }
+        root = link_roots(node, root, rq);
+    });
+}
+
+/// 8-connectivity horizontal seam union over the word-level dilated-AND
+/// adjacency: `and_words` holds `lower_row & dilate(upper_row)` and
+/// [`for_each_diagonal_pair`] enumerates exactly the 8-adjacent run pairs
+/// across the seam, finding on both sides (each row was already unioned into
+/// its band). Each root that loses a link is appended to `losers` for the
+/// flatten pre-pass. The retired two-pointer walk it replaces survives as
+/// [`seam_union_eight_two_pointer`], a test-only cross-check.
+fn seam_union_eight_words(
+    node: &mut [u64],
+    runs: &[u64],
+    and_words: &[u64],
+    cols: usize,
+    cur: std::ops::Range<usize>,
+    prev: std::ops::Range<usize>,
+    losers: &mut Vec<u32>,
+) {
+    let mut last_c = usize::MAX;
+    let mut croot = 0u32;
+    for_each_diagonal_pair(
+        and_words,
+        cols,
+        &runs[cur.clone()],
+        &runs[prev.clone()],
+        |c, q| {
+            // Cache the lower run's surviving root across its pairs: one find
+            // per run, not per pair (link_roots returns the survivor).
+            if c != last_c {
+                last_c = c;
+                croot = find_pure(node, (cur.start + c) as u32);
+            }
+            let rq = find_pure(node, (prev.start + q) as u32);
+            if rq != croot {
+                losers.push(croot.max(rq));
+            }
+            croot = link_roots(node, croot, rq);
+        },
+    );
+}
+
+/// The retired 8-connectivity seam union: a two-pointer join of the facing
+/// rows' run lists with one column of diagonal reach. Kept only to
+/// cross-check [`seam_union_eight_words`] — the word-level sweep must
+/// produce the identical unions in the identical order.
+#[cfg(test)]
+fn seam_union_eight_two_pointer(
+    node: &mut [u64],
+    runs: &[u64],
+    cur: std::ops::Range<usize>,
+    prev: std::ops::Range<usize>,
+    losers: &mut Vec<u32>,
+) {
+    let mut p = prev.start;
+    for c in cur {
+        let sb = runs[c];
+        let aw = (sb >> 32).saturating_sub(1);
+        let bw = (sb & 0xffff_ffff) + 1;
+        while p < prev.end && (runs[p] & 0xffff_ffff) < aw {
+            p += 1;
+        }
+        let mut q = p;
+        let mut root = find_pure(node, c as u32);
+        while q < prev.end && (runs[q] >> 32) <= bw {
+            let rq = find_pure(node, q as u32);
+            if rq != root {
+                losers.push(root.max(rq));
+            }
+            root = link_roots(node, root, rq);
+            q += 1;
+        }
+        // The last overlapping run may also touch the next run of the lower
+        // row; step back so it is reconsidered.
+        if q > p {
+            p = q - 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,7 +839,21 @@ mod tests {
     use crate::gen;
     use crate::oracle::bfs_labels_conn;
 
-    const SHAPES: &[(usize, usize)] = &[(1, 2), (2, 1), (2, 2), (3, 3), (4, 4), (1, 8), (8, 1)];
+    /// Grid shapes under test. The `t × 1` rows are the strip shapes the
+    /// registry's `parallel` engine opens, whose bands relocate by offset;
+    /// wider rows relocate through the index maps, so every test looping
+    /// over `SHAPES` runs both relocation paths on the same frame.
+    const SHAPES: &[(usize, usize)] = &[
+        (1, 2),
+        (2, 1),
+        (3, 1),
+        (4, 1),
+        (8, 1),
+        (2, 2),
+        (3, 3),
+        (4, 4),
+        (1, 8),
+    ];
 
     #[test]
     fn matches_fast_engine_on_tiny_shapes() {
@@ -687,6 +868,7 @@ mod tests {
             ".#.\n###\n.#.\n",
             "#..#\n....\n#..#\n",
             "####\n....\n####\n####\n",
+            "#\n#\n#\n#\n#\n#\n#\n#\n",
         ] {
             let img = Bitmap::from_art(art);
             for conn in [Connectivity::Four, Connectivity::Eight] {
@@ -785,12 +967,25 @@ mod tests {
     #[test]
     fn more_tiles_than_pixels_degrades_gracefully() {
         let img = gen::uniform_random(3, 3, 0.5, 7);
+        let wide = gen::uniform_random(3, 50, 0.5, 7);
         for conn in [Connectivity::Four, Connectivity::Eight] {
             assert_eq!(
                 tiled_labels_conn(&img, conn, 64, 64, 8),
                 fast_labels_conn(&img, conn)
             );
+            // More strips than rows.
+            assert_eq!(
+                tiled_labels_conn(&wide, conn, 64, 1, 64),
+                fast_labels_conn(&wide, conn)
+            );
         }
+    }
+
+    #[test]
+    fn zero_threads_clamps_to_one() {
+        let labeler = TiledLabeler::new(0, 1, 0);
+        assert_eq!(labeler.threads(), 1);
+        assert_eq!(labeler.tiles(), (1, 1));
     }
 
     #[test]
@@ -845,30 +1040,135 @@ mod tests {
 
     #[test]
     fn reused_tiled_labeler_leaves_no_stale_state() {
-        let mut labeler = TiledLabeler::new(2, 2, 4);
-        let mut grid = LabelGrid::new_background(1, 1);
-        let big = gen::uniform_random(80, 80, 0.6, 1);
-        labeler.label_into(&big, Connectivity::Four, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&big, Connectivity::Four));
-        let small = Bitmap::from_art("#.#\n###\n");
-        labeler.label_into(&small, Connectivity::Four, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&small, Connectivity::Four));
-        labeler.label_into(&big, Connectivity::Eight, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&big, Connectivity::Eight));
-        assert_eq!(labeler.last_components(), grid.component_count());
+        for (ty, tx) in [(2, 2), (4, 1)] {
+            let mut labeler = TiledLabeler::new(ty, tx, 4);
+            let mut grid = LabelGrid::new_background(1, 1);
+            let big = gen::uniform_random(80, 80, 0.6, 1);
+            labeler.label_into(&big, Connectivity::Four, &mut grid);
+            assert_eq!(grid, fast_labels_conn(&big, Connectivity::Four));
+            let small = Bitmap::from_art("#.#\n###\n");
+            labeler.label_into(&small, Connectivity::Four, &mut grid);
+            assert_eq!(grid, fast_labels_conn(&small, Connectivity::Four));
+            labeler.label_into(&big, Connectivity::Eight, &mut grid);
+            assert_eq!(grid, fast_labels_conn(&big, Connectivity::Eight));
+            assert_eq!(labeler.last_components(), grid.component_count());
+        }
     }
 
     #[test]
     fn single_row_and_single_column_images_do_not_panic() {
+        // Single column with a gap: every strip seam is one-run-to-one-run.
+        let mut gap = Bitmap::new(9, 1);
+        for r in 0..9 {
+            gap.set(r, 0, r != 4);
+        }
+        let mut imgs = vec![gap];
         for (rows, cols) in [(1usize, 200usize), (200, 1), (1, 1), (2, 2)] {
-            let img = gen::uniform_random(rows, cols, 0.5, 11);
+            imgs.push(gen::uniform_random(rows, cols, 0.5, 11));
+        }
+        for img in &imgs {
             for conn in [Connectivity::Four, Connectivity::Eight] {
-                assert_eq!(
-                    tiled_labels_conn(&img, conn, 4, 4, 4),
-                    fast_labels_conn(&img, conn),
-                    "{rows}x{cols} conn={conn:?}"
-                );
+                for (ty, tx) in [(4, 4), (2, 1), (8, 1), (64, 1)] {
+                    assert_eq!(
+                        tiled_labels_conn(img, conn, ty, tx, 4),
+                        fast_labels_conn(img, conn),
+                        "{}x{} tiles {ty}x{tx} conn={conn:?}",
+                        img.rows(),
+                        img.cols()
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn word_level_eight_seam_matches_the_retired_two_pointer_path() {
+        // Build a two-row run arena directly and drive both seam-union
+        // implementations over it: the word-level dilated-AND sweep must
+        // perform the identical links in the identical order — same node
+        // array, same loser log — as the retired two-pointer join.
+        for case in 0u64..200 {
+            let density = 0.05 + 0.9 * (case % 10) as f64 / 10.0;
+            let img = gen::uniform_random(2, 131, density, case + 1);
+            let mut runs = Vec::new();
+            let mut node = Vec::new();
+            for r in 0..2 {
+                img.for_each_row_run(r, |a, b| {
+                    let min = u64::from(a) * 2 + r as u64;
+                    node.push((min << 32) | runs.len() as u64);
+                    runs.push((u64::from(a) << 32) | u64::from(b));
+                });
+            }
+            let split = runs.len() - img.count_row_runs(1);
+            let (prev, cur) = (0..split, split..runs.len());
+
+            let mut node_tp = node.clone();
+            let mut losers_tp = Vec::new();
+            seam_union_eight_two_pointer(
+                &mut node_tp,
+                &runs,
+                cur.clone(),
+                prev.clone(),
+                &mut losers_tp,
+            );
+
+            let mut dilated = Vec::new();
+            dilate_words_into(img.row_words(0), img.cols(), &mut dilated);
+            let and_words: Vec<u64> = img
+                .row_words(1)
+                .iter()
+                .zip(dilated.iter())
+                .map(|(&a, &b)| a & b)
+                .collect();
+            let mut losers = Vec::new();
+            seam_union_eight_words(
+                &mut node,
+                &runs,
+                &and_words,
+                img.cols(),
+                cur,
+                prev,
+                &mut losers,
+            );
+            assert_eq!(node, node_tp, "case {case}");
+            assert_eq!(losers, losers_tp, "case {case}");
+        }
+    }
+
+    #[test]
+    fn seam_eight_backstep_shares_one_upper_run_across_adjacent_lower_runs() {
+        // Regression for the `p = q - 1` backstep in the diagonal-pair
+        // enumeration (now inside `for_each_diagonal_pair`): two
+        // adjacent lower-row runs each touch the single upper-row run only
+        // diagonally (through column 2), so after the first lower run
+        // consumes the upper run the cursor must step back for the second.
+        // Two strips put the seam exactly between the two rows.
+        let img = Bitmap::from_art(
+            "..#..\n\
+             ##.##\n",
+        );
+        let l8 = tiled_labels_conn(&img, Connectivity::Eight, 2, 1, 2);
+        assert_eq!(l8, fast_labels_conn(&img, Connectivity::Eight));
+        assert_eq!(l8.component_count(), 1, "diagonals bridge all three runs");
+        let l4 = tiled_labels_conn(&img, Connectivity::Four, 2, 1, 2);
+        assert_eq!(l4, fast_labels_conn(&img, Connectivity::Four));
+        assert_eq!(l4.component_count(), 3, "no bridge under 4-connectivity");
+        // The mirrored orientation exercises the backstep from the other
+        // side, and a longer seam chains repeated backsteps.
+        let chain = Bitmap::from_art(
+            "##.##.##.##\n\
+             ..#..#..#..\n",
+        );
+        for conn in [Connectivity::Four, Connectivity::Eight] {
+            assert_eq!(
+                tiled_labels_conn(&chain, conn, 2, 1, 2),
+                fast_labels_conn(&chain, conn),
+                "chain conn={conn:?}"
+            );
+        }
+        assert_eq!(
+            tiled_labels_conn(&chain, Connectivity::Eight, 2, 1, 2).component_count(),
+            1
+        );
     }
 }

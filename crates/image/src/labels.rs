@@ -92,7 +92,7 @@ impl LabelGrid {
     }
 
     /// Splits the grid into disjoint consecutive row bands for concurrent
-    /// writes (one scoped thread per band in the strip-parallel engine).
+    /// writes (one scoped thread per band in the tiled engine).
     ///
     /// `bounds` are the `T + 1` ascending band boundaries, starting at `0`
     /// and ending at `rows()`; band `t` receives the row-major cells of rows

@@ -18,11 +18,10 @@
 //! * [`fast`] — the word-parallel run-based labeling engine, bit-identical
 //!   to the oracle and several times faster; the default reference the
 //!   differential suites and benchmarks compare against. Its
-//!   [`fast::parallel`] submodule labels disjoint horizontal strips on
-//!   scoped worker threads and stitches the seams over the run universe —
-//!   the first engine here that scales with cores. [`fast::tiled`]
-//!   generalizes the decomposition to a 2-D tile grid with hierarchical
-//!   seam merging, and [`fast::ooc`] streams frames taller than memory
+//!   [`fast::tiled`] submodule labels a 2-D grid of tiles on scoped worker
+//!   threads and merges the seams hierarchically over the run universe —
+//!   the engine here that scales with cores; its `t × 1` shape is the
+//!   strip decomposition. [`fast::ooc`] streams frames taller than memory
 //!   through it one band of tiles at a time.
 //! * [`stream`] — the **streaming** engine: rows arrive one at a time
 //!   ([`stream::StreamLabeler::push_row`]), memory stays
@@ -53,9 +52,9 @@ pub mod stream;
 pub use bitmap::{Bitmap, Columns};
 pub use connectivity::Connectivity;
 pub use fast::{
-    fast_component_count, fast_labels, fast_labels_conn, label_out_of_core, parallel_labels,
-    parallel_labels_conn, tiled_labels, tiled_labels_conn, FastLabeler, OocRun, OocStats,
-    OutOfCoreLabeler, ParallelLabeler, SeamLevel, TileStats, TiledLabeler,
+    fast_component_count, fast_labels, fast_labels_conn, label_out_of_core, tiled_labels,
+    tiled_labels_conn, FastLabeler, OocRun, OocStats, OutOfCoreLabeler, SeamLevel, TileStats,
+    TiledLabeler,
 };
 pub use labels::{ComponentInfo, LabelGrid};
 pub use oracle::{bfs_labels, bfs_labels_conn, BfsOracle};

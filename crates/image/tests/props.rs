@@ -9,8 +9,7 @@ use slap_image::pbm::{FramedPbmReader, PbmRowReader};
 use slap_image::stream::{BitmapRows, RowSource, StreamGridLabeler};
 use slap_image::{
     bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_out_of_core, label_stream, morph,
-    parallel_labels_conn, pbm, tiled_labels_conn, Bitmap, Connectivity, FastLabeler, LabelGrid,
-    ParallelLabeler,
+    pbm, tiled_labels_conn, Bitmap, Connectivity, FastLabeler, LabelGrid, TiledLabeler,
 };
 
 /// The retired two-pointer diagonal join, kept as the executable
@@ -174,6 +173,8 @@ proptest! {
         );
     }
 
+    // The `parallel` engine is the tiled engine's strip shape: `threads`
+    // full-width bands on `threads` workers.
     #[test]
     fn parallel_engine_is_bit_identical_at_any_thread_count(
         bm in arb_bitmap(),
@@ -181,7 +182,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         prop_assert_eq!(
-            parallel_labels_conn(&bm, conn, threads),
+            tiled_labels_conn(&bm, conn, threads, 1, threads),
             fast_labels_conn(&bm, conn)
         );
     }
@@ -193,7 +194,7 @@ proptest! {
         threads in 2usize..7,
     ) {
         prop_assert_eq!(
-            parallel_labels_conn(&bm, conn, threads),
+            tiled_labels_conn(&bm, conn, threads, 1, threads),
             bfs_labels_conn(&bm, conn)
         );
     }
@@ -206,7 +207,7 @@ proptest! {
         threads in 2usize..7,
     ) {
         // Strip scratch left by one image must never leak into the next.
-        let mut labeler = ParallelLabeler::new(threads);
+        let mut labeler = TiledLabeler::new(threads, 1, threads);
         let mut grid = LabelGrid::new_background(1, 1);
         labeler.label_into(&a, conn, &mut grid);
         prop_assert_eq!(&grid, &bfs_labels_conn(&a, conn));

@@ -64,6 +64,11 @@ use std::time::{Duration, Instant};
 /// inject panics and delays; production leaves it `None`.
 pub type JobHook = Arc<dyn Fn(&Bitmap) + Send + Sync>;
 
+/// Grid jobs at or above this many pixels run on the parallel engine when
+/// [`ServeConfig::engine_threads`] exceeds one; smaller jobs take the fast
+/// sequential engine.
+const PARALLEL_THRESHOLD_PIXELS: u64 = 1 << 21;
+
 /// Tunable limits and behavior for a [`Server`].
 #[derive(Clone)]
 pub struct ServeConfig {
@@ -90,10 +95,9 @@ pub struct ServeConfig {
     pub deadline: Duration,
     /// Socket read/write timeout — how long a client may stall mid-frame.
     pub io_timeout: Duration,
-    /// Jobs at or above this many pixels run on the parallel engine;
-    /// smaller jobs take the fast sequential engine.
-    pub parallel_threshold_pixels: u64,
-    /// Threads handed to the parallel engine session.
+    /// Threads handed to the parallel engine session, which labels grid
+    /// jobs of at least 2 Mi pixels (`1` keeps every job on the fast
+    /// sequential engine).
     pub engine_threads: usize,
     /// Optional pre-compute hook (see [`JobHook`]).
     pub job_hook: Option<JobHook>,
@@ -112,7 +116,6 @@ impl Default for ServeConfig {
             ooc_band_rows: 128,
             deadline: Duration::from_secs(5),
             io_timeout: Duration::from_secs(5),
-            parallel_threshold_pixels: 1 << 21,
             engine_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -134,7 +137,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("ooc_band_rows", &self.ooc_band_rows)
             .field("deadline", &self.deadline)
             .field("io_timeout", &self.io_timeout)
-            .field("parallel_threshold_pixels", &self.parallel_threshold_pixels)
             .field("engine_threads", &self.engine_threads)
             .field("job_hook", &self.job_hook.as_ref().map(|_| "<hook>"))
             .finish()
@@ -1156,7 +1158,7 @@ impl Engines {
         if self.grid.rows() != img.rows() || self.grid.cols() != img.cols() {
             self.grid = LabelGrid::new_background(img.rows(), img.cols());
         }
-        let engine = if pixels >= cfg.parallel_threshold_pixels && cfg.engine_threads > 1 {
+        let engine = if pixels >= PARALLEL_THRESHOLD_PIXELS && cfg.engine_threads > 1 {
             &mut self.parallel
         } else {
             &mut self.fast

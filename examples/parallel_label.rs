@@ -1,6 +1,7 @@
 //! Strip-parallel labeling: generate a workload, label it on several worker
-//! threads, verify bit-identity against the sequential engine, and summarize
-//! the components.
+//! threads through a `parallel` engine session (the tiled engine's `T × 1`
+//! strip shape), verify bit-identity against the sequential engine, and
+//! summarize the components.
 //!
 //! ```text
 //! cargo run --release --example parallel_label
@@ -11,7 +12,8 @@
 //! available cores). Wall-clock speedup needs real hardware parallelism;
 //! bit-identity holds everywhere.
 
-use slap_repro::image::{fast_labels_conn, gen, Connectivity, LabelGrid, ParallelLabeler};
+use slap_repro::cc::engine::EngineKind;
+use slap_repro::image::{fast_labels_conn, gen, Connectivity, LabelGrid};
 use std::time::Instant;
 
 fn main() {
@@ -44,13 +46,13 @@ fn main() {
     let reference = fast_labels_conn(&img, Connectivity::Four);
     let seq = t0.elapsed();
 
-    // Hot-loop shape: one reusable labeler + one reusable grid, so repeated
+    // Hot-loop shape: one reusable session + one reusable grid, so repeated
     // calls are allocation-free in steady state.
-    let mut labeler = ParallelLabeler::new(threads);
+    let mut session = EngineKind::Parallel.session(threads);
     let mut labels = LabelGrid::new_background(1, 1);
-    labeler.label_into(&img, Connectivity::Four, &mut labels); // warm-up
+    session.label_into(&img, Connectivity::Four, &mut labels); // warm-up
     let t1 = Instant::now();
-    labeler.label_into(&img, Connectivity::Four, &mut labels);
+    let stats = session.label_into(&img, Connectivity::Four, &mut labels);
     let par = t1.elapsed();
 
     assert_eq!(labels, reference, "parallel labels must be bit-identical");
@@ -59,14 +61,15 @@ fn main() {
         seq.as_secs_f64() * 1e3
     );
     println!(
-        "strip-parallel @ {threads:2}    : {:9.3} ms  ({:.2}x)",
+        "strip-parallel @ {threads:2}    : {:9.3} ms  ({:.2}x, {} runs)",
         par.as_secs_f64() * 1e3,
-        seq.as_secs_f64() / par.as_secs_f64().max(1e-9)
+        seq.as_secs_f64() / par.as_secs_f64().max(1e-9),
+        stats.runs
     );
 
-    let stats = labels.component_stats();
-    println!("\ncomponents: {}", stats.len());
-    for info in stats.iter().take(8) {
+    let components = labels.component_stats();
+    println!("\ncomponents: {}", components.len());
+    for info in components.iter().take(8) {
         println!(
             "  label {:7}  {:6} px  bbox {}x{} at (r{}, c{})",
             info.label,
@@ -77,7 +80,7 @@ fn main() {
             info.min_col
         );
     }
-    if stats.len() > 8 {
-        println!("  ... and {} more", stats.len() - 8);
+    if components.len() > 8 {
+        println!("  ... and {} more", components.len() - 8);
     }
 }

@@ -654,7 +654,7 @@ fn ooc_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: usiz
             pbm::PbmRowReader::new(r).unwrap_or_else(|e| die(&format!("parse {what}: {e}")));
         let t0 = std::time::Instant::now();
         let run = label_out_of_core(&mut reader, conn, band_rows, tiles_x)
-            .unwrap_or_else(|e| die(&format!("read {what}: {e}")));
+            .unwrap_or_else(|e| die(&format!("label {what}: {e}")));
         let elapsed = t0.elapsed();
         let s = &run.stats;
         println!(

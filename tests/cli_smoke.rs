@@ -227,3 +227,17 @@ fn bad_input_fails_without_panic_message() {
         "parse failure should be a clean error, not a panic: {err}"
     );
 }
+
+#[test]
+fn out_of_core_rejects_an_oversized_band_with_a_clean_error() {
+    // 10^8 rows × 64 cols overflows the u32 run-index space of one band.
+    let pbm = slap(&["gen", "blobs", "64", "1"]).stdout;
+    let out = slap_with_stdin(
+        &["label", "--out-of-core", "--band-rows", "100000000"],
+        &pbm,
+    );
+    assert_eq!(out.status.code(), Some(2), "bad band size exits 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--band-rows"), "error names the flag: {err}");
+    assert!(!err.contains("panicked"), "clean error, not a panic: {err}");
+}

@@ -1,5 +1,6 @@
-//! Engine-specific differential coverage for the strip-parallel fast
-//! engine: seam-adversarial shapes at thread counts 1/2/4/8 under both
+//! Engine-specific differential coverage for the `parallel` engine — the
+//! strip shape of the tiled engine, `t` full-width bands on `t` workers:
+//! seam-adversarial shapes at thread counts 1/2/4/8 under both
 //! connectivities, word-boundary widths, and a cross-check of the seam pass
 //! against `slap_cc::stitch::stitch_bands` — an independent implementation
 //! of the paper's stitch argument rotated to horizontal seams.
@@ -11,10 +12,16 @@
 
 use slap_repro::cc::stitch::stitch_bands;
 use slap_repro::image::{
-    bfs_labels_conn, fast_labels_conn, gen, parallel_labels_conn, Bitmap, Connectivity,
+    bfs_labels_conn, fast_labels_conn, gen, tiled_labels_conn, Bitmap, Connectivity, LabelGrid,
 };
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
+
+/// Labels `img` on `t` strips with `t` workers — what
+/// `EngineKind::Parallel.session(t)` opens.
+fn strip_labels(img: &Bitmap, conn: Connectivity, t: usize) -> LabelGrid {
+    tiled_labels_conn(img, conn, t, 1, t)
+}
 
 /// Asserts the parallel engine agrees exactly with both references on `img`
 /// at every thread count.
@@ -27,7 +34,7 @@ fn check_parallel(img: &Bitmap, conn: Connectivity, what: &str) {
     );
     for &t in THREADS {
         assert_eq!(
-            parallel_labels_conn(img, conn, t),
+            strip_labels(img, conn, t),
             truth,
             "parallel@{t} vs oracle: {what} ({conn})"
         );
@@ -104,7 +111,7 @@ fn seam_logic_agrees_with_the_generalized_band_stitch() {
             let bottom = fast_labels_conn(&band(&img, split, img.rows()), conn);
             let stitched = stitch_bands(&top, &bottom, conn);
             assert_eq!(
-                parallel_labels_conn(&img, conn, 2),
+                strip_labels(&img, conn, 2),
                 stitched,
                 "workload {name} ({conn})"
             );
@@ -126,7 +133,7 @@ fn many_strips_stress_the_seam_loser_prepass() {
     for conn in [Connectivity::Four, Connectivity::Eight] {
         for t in [2usize, 3, 7, 16, 64] {
             assert_eq!(
-                parallel_labels_conn(&img, conn, t),
+                strip_labels(&img, conn, t),
                 bfs_labels_conn(&img, conn),
                 "threads={t} ({conn})"
             );
