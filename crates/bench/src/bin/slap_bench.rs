@@ -3,14 +3,13 @@
 //! ```text
 //! slap-bench baseline                    # full sweep -> BENCH_baseline.json
 //! slap-bench baseline --quick --out F    # small sweep (CI smoke), custom path
-//! slap-bench parallel                    # thread sweep -> BENCH_parallel.json
-//! slap-bench parallel --quick --out F    # small sweep (CI smoke), custom path
 //! slap-bench stream                      # streaming sweep -> BENCH_stream.json
 //! slap-bench stream --quick --out F      # small sweep (CI smoke), custom path
 //! slap-bench reuse                       # cold-vs-warm sweep over the engine
 //!                                        #   registry -> BENCH_reuse.json
 //! slap-bench reuse --quick --out F       # small sweep (CI smoke), custom path
-//! slap-bench tiled                       # tile-shape + out-of-core sweep
+//! slap-bench tiled                       # tile-shape + strip-thread +
+//!                                        #   out-of-core sweep
 //!                                        #   -> BENCH_tiled.json
 //! slap-bench tiled --quick --out F       # small sweep (CI smoke), custom path
 //! slap-bench serve                       # slapd sustained jobs/sec at
@@ -27,24 +26,23 @@
 //!
 //! The criterion microbenches remain under `cargo bench`; this binary records
 //! the end-to-end trajectory points — oracle vs. fast engine vs. simulated
-//! Algorithm CC (`baseline`, both connectivities), sequential vs.
-//! strip-parallel engine across thread counts (`parallel`), the
-//! bounded-memory streaming engine with its frontier peaks (`stream`), and
-//! cold-call vs. warm-session throughput for every engine in
+//! Algorithm CC (`baseline`, both connectivities), the bounded-memory
+//! streaming engine with its frontier peaks (`stream`), cold-call vs.
+//! warm-session throughput for every engine in
 //! `slap_cc::engine::registry()` (`reuse`), the 2-D tiled engine across
-//! tile shapes plus the out-of-core band scheduler (`tiled`), and the
+//! tile shapes and its `T × 1` strip shape across thread counts plus the
+//! out-of-core band scheduler (`tiled`), and the
 //! iterative label-equivalence engine vs. the oracle plus the lock-step
 //! pipeline-vs-iteration step-count comparison (`propagate`) — that the
 //! `BENCH_*.json` files
 //! commit to the repository. `check` dispatches on the file's `schema`
 //! field.
 
-use slap_bench::{baseline, json, parallel, propagate, reuse, serve, stream, tiled};
+use slap_bench::{baseline, json, propagate, reuse, serve, stream, tiled};
 
 fn usage() -> ! {
     eprintln!(
         "usage: slap-bench baseline [--quick] [--out PATH]\n       \
-         slap-bench parallel [--quick] [--out PATH]\n       \
          slap-bench stream [--quick] [--out PATH]\n       \
          slap-bench reuse [--quick] [--out PATH]\n       \
          slap-bench tiled [--quick] [--out PATH]\n       \
@@ -100,14 +98,6 @@ fn main() {
             let text = report.to_json();
             write_validated(&text, &out, report.entries.len(), |t| {
                 baseline::validate(t, !quick)
-            });
-        }
-        Some("parallel") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_parallel.json");
-            let report = parallel::run_parallel(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                parallel::validate(t, !quick)
             });
         }
         Some("stream") => {
@@ -176,7 +166,6 @@ fn main() {
                 })
                 .unwrap_or_default();
             let result = match schema.as_str() {
-                parallel::SCHEMA => parallel::validate(&text, require_full),
                 stream::SCHEMA => stream::validate(&text, require_full),
                 tiled::SCHEMA => tiled::validate(&text, require_full),
                 reuse::SCHEMA => reuse::validate(&text, require_full),

@@ -17,7 +17,6 @@
 pub mod baseline;
 pub mod experiments;
 pub mod json;
-pub mod parallel;
 pub mod propagate;
 pub mod reuse;
 pub mod serve;

@@ -465,9 +465,9 @@ mod tests {
     #[test]
     fn validation_requires_every_registered_engine() {
         let mut report = tiny_report();
-        report.entries.retain(|e| e.engine != "stream");
+        report.entries.retain(|e| e.engine != "propagate");
         let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("stream"), "{err}");
+        assert!(err.contains("propagate"), "{err}");
     }
 
     #[test]

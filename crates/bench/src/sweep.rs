@@ -1,7 +1,7 @@
 //! The shared sweep harness: one family × size × connectivity driver and
 //! one timing protocol for every `slap-bench` recorder.
 //!
-//! The baseline, parallel, tiled, reuse, and propagate sweeps all walk the
+//! The baseline, tiled, reuse, and propagate sweeps all walk the
 //! same grid — deterministic workload families at a ladder of sizes, both
 //! adjacency conventions, repetitions scaled to the image — and differ only
 //! in what they time at each point. [`drive`] owns the walk (and the

@@ -1,26 +1,32 @@
-//! The `slap-bench tiled` sweep: 2-D tiled engine across tile shapes plus
-//! the out-of-core band scheduler, serialized to `BENCH_tiled.json`.
+//! The `slap-bench tiled` sweep: 2-D tiled engine across tile shapes, the
+//! strip shape the `parallel` registry row opens, and the out-of-core band
+//! scheduler, serialized to `BENCH_tiled.json`.
 //!
 //! For each (family, size, connectivity) point the sweep times the
 //! sequential fast engine once (the identity baseline), the tiled engine at
-//! every shape in [`TILE_SHAPES`] — asserting bit-identical labels while
-//! timing — and the out-of-core scheduler at a band budget of a quarter
-//! frame, recording its carried-state peak and checking its retired labels
-//! against the whole-frame engine. As with the parallel sweep, the recorded
-//! `host_threads` travels with the file: the [`validate`] headline speedup
-//! (tiled 2×2 @ 4 threads ≥ [`REQUIRED_SPEEDUP`]× the fast engine on
-//! `random50` @ 2048² under 4-connectivity) is only enforceable when the
-//! recording host actually has ≥ [`MIN_HOST_THREADS`] hardware threads; the
-//! bit-identity, carried-state, and coverage checks apply everywhere.
+//! every shape in [`TILE_SHAPES`], the strip shape `T × 1` on `T` workers at
+//! every `T` in [`STRIP_THREADS`] (exactly what `EngineKind::Parallel`
+//! opens: the strip two-pass of Gupta et al., arXiv 1606.05973, is the
+//! one-column case of the coarse-to-fine tiling of Chen et al., arXiv
+//! 1712.09789) — asserting bit-identical labels while timing — and the
+//! out-of-core scheduler at a band budget of a quarter frame, recording its
+//! carried-state peak and checking its retired labels against the
+//! whole-frame engine. The recorded `host_threads` travels with the file:
+//! the [`validate`] headline speedups on `random50` @ 2048² under
+//! 4-connectivity — tiled 2×2 @ 4 threads ≥ [`TILED_SPEEDUP`]× and strips @
+//! 4 threads ≥ [`STRIP_SPEEDUP`]× the fast engine — are only enforceable
+//! when the recording host actually has ≥ [`MIN_HOST_THREADS`] hardware
+//! threads; the bit-identity, carried-state, and coverage checks apply
+//! everywhere.
 
 use crate::json;
-use crate::sweep::{self, conn_id, CONNS, SEED};
+use crate::sweep::{self, conn_id, Point, CONNS, SEED};
 use slap_cc::engine::EngineKind;
 use slap_image::{label_out_of_core, BitmapRows, LabelGrid};
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into (and required from) every tiled file.
-pub const SCHEMA: &str = "slap-bench-tiled/v1";
+pub const SCHEMA: &str = "slap-bench-tiled/v2";
 
 /// Tile grids swept, as `(tiles_y, tiles_x)`: the two degenerate
 /// single-axis cuts, the canonical quad, and a deeper hierarchy.
@@ -29,12 +35,21 @@ pub const TILE_SHAPES: &[(usize, usize)] = &[(1, 2), (2, 1), (2, 2), (4, 4)];
 /// Worker threads given to every tiled entry.
 pub const TILE_THREADS: usize = 4;
 
+/// Thread counts swept by the `parallel` strip entries (`T × 1` tiles on
+/// `T` workers).
+pub const STRIP_THREADS: &[usize] = &[1, 2, 4, 8];
+
 /// The headline speedup `validate` demands from tiled 2×2 @ 4 threads over
 /// the sequential engine on `random50` @ 2048² (4-connectivity), on hosts
 /// with at least [`MIN_HOST_THREADS`] hardware threads.
-pub const REQUIRED_SPEEDUP: f64 = 1.5;
+pub const TILED_SPEEDUP: f64 = 1.5;
 
-/// Minimum recorded host parallelism for the speedup criterion to apply.
+/// The headline speedup `validate` demands from the `parallel` strips @ 4
+/// threads over the sequential engine at the same point and under the same
+/// host condition.
+pub const STRIP_SPEEDUP: f64 = 1.8;
+
+/// Minimum recorded host parallelism for the speedup criteria to apply.
 pub const MIN_HOST_THREADS: u64 = 4;
 
 /// One timed (family, size, connectivity, engine) point.
@@ -46,10 +61,11 @@ pub struct Entry {
     pub n: usize,
     /// Adjacency convention: `4` or `8`.
     pub conn: u32,
-    /// `"fast"` (sequential reference), `"tiled"`, or `"ooc"`.
+    /// `"fast"` (sequential reference), `"tiled"`, `"parallel"` (strips),
+    /// or `"ooc"`.
     pub engine: String,
-    /// Tile grid, `(tiles_y, tiles_x)`; `(1, 1)` for the fast reference and
-    /// `(1, tiles_x)` for out-of-core bands.
+    /// Tile grid, `(tiles_y, tiles_x)`; `(1, 1)` for the fast reference,
+    /// `(threads, 1)` for strips, and `(1, tiles_x)` for out-of-core bands.
     pub tiles: (usize, usize),
     /// Worker threads.
     pub threads: usize,
@@ -59,8 +75,8 @@ pub struct Entry {
     pub mean_ns: u64,
     /// Number of timed repetitions.
     pub reps: usize,
-    /// For `"tiled"` entries: labels were bit-identical to the sequential
-    /// engine's.
+    /// For `"tiled"` and `"parallel"` entries: labels were bit-identical to
+    /// the sequential engine's.
     pub bit_identical: Option<bool>,
     /// For `"ooc"` entries: rows resident per band (strictly below `n`, so
     /// the frame genuinely exceeded the band budget).
@@ -71,6 +87,33 @@ pub struct Entry {
     /// For `"ooc"` entries: the retired label set matched the whole-frame
     /// engine's component labels exactly.
     pub components_match: Option<bool>,
+}
+
+impl Entry {
+    /// A timed entry at sweep point `p` with no engine-specific fields set.
+    fn timed(
+        p: &Point,
+        engine: &str,
+        tiles: (usize, usize),
+        threads: usize,
+        (best_ns, mean_ns): (u64, u64),
+    ) -> Entry {
+        Entry {
+            family: p.family.to_string(),
+            n: p.n,
+            conn: p.cid,
+            engine: engine.to_string(),
+            tiles,
+            threads,
+            best_ns,
+            mean_ns,
+            reps: p.reps,
+            bit_identical: None,
+            band_rows: None,
+            peak_carried_runs: None,
+            components_match: None,
+        }
+    }
 }
 
 /// A finished sweep, ready to serialize.
@@ -99,8 +142,8 @@ fn sweep_params(quick: bool) -> (&'static [&'static str], &'static [usize]) {
 }
 
 /// Runs the sweep. `progress` receives one line per timed point. The fast
-/// reference and every tiled shape run as warm registry sessions; the
-/// out-of-core point re-streams the frame from memory through
+/// reference, every tiled shape, and every strip shape run as warm registry
+/// sessions; the out-of-core point re-streams the frame from memory through
 /// [`BitmapRows`] with a quarter-frame band budget.
 pub fn run_tiled(quick: bool, mut progress: impl FnMut(&str)) -> TiledReport {
     let (families, sides) = sweep_params(quick);
@@ -111,52 +154,37 @@ pub fn run_tiled(quick: bool, mut progress: impl FnMut(&str)) -> TiledReport {
     let mut tiled_grid = LabelGrid::new_background(1, 1);
     sweep::drive(families, sides, quick, |p| {
         let (family, n, conn, cid, img, reps) = (p.family, p.n, p.conn, p.cid, p.img, p.reps);
-        let (best, mean) = sweep::time_reps(reps, || {
+        let timing = sweep::time_reps(reps, || {
             fast.label_into(std::hint::black_box(img), conn, &mut fast_grid);
         });
         progress(&format!(
             "{family}/{n}/{cid}-conn fast: {:.3} ms",
-            best as f64 / 1e6
+            timing.0 as f64 / 1e6
         ));
-        entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            engine: "fast".to_string(),
-            tiles: (1, 1),
-            threads: 1,
-            best_ns: best,
-            mean_ns: mean,
-            reps,
-            bit_identical: None,
-            band_rows: None,
-            peak_carried_runs: None,
-            components_match: None,
-        });
-        for &(tiles_y, tiles_x) in TILE_SHAPES {
-            let mut session = EngineKind::Tiled { tiles_x, tiles_y }.session(TILE_THREADS);
-            let (best, mean) = sweep::time_reps(reps, || {
+        entries.push(Entry::timed(p, "fast", (1, 1), 1, timing));
+        let tiled = TILE_SHAPES
+            .iter()
+            .map(|&(tiles_y, tiles_x)| (EngineKind::Tiled { tiles_x, tiles_y }, TILE_THREADS));
+        let strips = STRIP_THREADS.iter().map(|&t| (EngineKind::Parallel, t));
+        for (kind, threads) in tiled.chain(strips) {
+            let mut session = kind.session(threads);
+            let tiles = match kind {
+                EngineKind::Tiled { tiles_x, tiles_y } => (tiles_y, tiles_x),
+                _ => (threads, 1),
+            };
+            let timing = sweep::time_reps(reps, || {
                 session.label_into(std::hint::black_box(img), conn, &mut tiled_grid);
             });
             let ok = tiled_grid == fast_grid;
             progress(&format!(
-                "{family}/{n}/{cid}-conn tiled {tiles_y}x{tiles_x}: {:.3} ms",
-                best as f64 / 1e6
+                "{family}/{n}/{cid}-conn {kind} {}x{} @{threads}: {:.3} ms",
+                tiles.0,
+                tiles.1,
+                timing.0 as f64 / 1e6
             ));
             entries.push(Entry {
-                family: family.to_string(),
-                n,
-                conn: cid,
-                engine: "tiled".to_string(),
-                tiles: (tiles_y, tiles_x),
-                threads: TILE_THREADS,
-                best_ns: best,
-                mean_ns: mean,
-                reps,
                 bit_identical: Some(ok),
-                band_rows: None,
-                peak_carried_runs: None,
-                components_match: None,
+                ..Entry::timed(p, kind.name(), tiles, threads, timing)
             });
         }
         // Out-of-core: a quarter-frame band budget forces ≥ 4 band
@@ -179,30 +207,21 @@ pub fn run_tiled(quick: bool, mut progress: impl FnMut(&str)) -> TiledReport {
             .collect();
         want.sort_unstable();
         let ok = retired == want;
-        let (best, mean) = sweep::time_reps(reps, || {
+        let timing = sweep::time_reps(reps, || {
             let mut rows = BitmapRows::new(std::hint::black_box(img));
             label_out_of_core(&mut rows, conn, band_rows, tiles_x).unwrap();
         });
         progress(&format!(
             "{family}/{n}/{cid}-conn ooc@{band_rows} rows: {:.3} ms \
              (peak carried {})",
-            best as f64 / 1e6,
+            timing.0 as f64 / 1e6,
             run.stats.peak_carried_runs
         ));
         entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            engine: "ooc".to_string(),
-            tiles: (1, tiles_x),
-            threads: tiles_x,
-            best_ns: best,
-            mean_ns: mean,
-            reps,
-            bit_identical: None,
             band_rows: Some(band_rows),
             peak_carried_runs: Some(run.stats.peak_carried_runs),
             components_match: Some(ok),
+            ..Entry::timed(p, "ooc", (1, tiles_x), tiles_x, timing)
         });
     });
     TiledReport {
@@ -254,6 +273,8 @@ impl TiledReport {
             .map(|&(y, x)| format!("[{y}, {x}]"))
             .collect();
         let _ = writeln!(s, "  \"tile_shapes\": [{}],", shapes.join(", "));
+        let strips: Vec<String> = STRIP_THREADS.iter().map(|t| t.to_string()).collect();
+        let _ = writeln!(s, "  \"strip_threads\": [{}],", strips.join(", "));
         s.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let _ = write!(
@@ -291,7 +312,8 @@ impl TiledReport {
             s.push('\n');
         }
         s.push_str("  ],\n");
-        // Derived scaling ratios: tiled shape vs the sequential engine.
+        // Derived scaling ratios: tiled shape and strips@T vs the sequential
+        // engine.
         s.push_str("  \"speedups\": [\n");
         let mut lines = Vec::new();
         for family in &self.families {
@@ -301,18 +323,18 @@ impl TiledReport {
                     let Some(fast) = self.best_of(family, n, cid, "fast", (1, 1)) else {
                         continue;
                     };
-                    let ratios: Vec<String> = TILE_SHAPES
-                        .iter()
-                        .filter_map(|&shape| {
-                            let tiled = self.best_of(family, n, cid, "tiled", shape)?;
-                            Some(format!(
-                                "\"{}x{}\": {:.3}",
-                                shape.0,
-                                shape.1,
-                                fast as f64 / tiled.max(1) as f64
-                            ))
-                        })
-                        .collect();
+                    let ratio = |engine: &str, shape, key: String| {
+                        let t = self.best_of(family, n, cid, engine, shape)?;
+                        Some(format!("\"{key}\": {:.3}", fast as f64 / t.max(1) as f64))
+                    };
+                    let ratios: Vec<String> =
+                        TILE_SHAPES
+                            .iter()
+                            .filter_map(|&(y, x)| ratio("tiled", (y, x), format!("{y}x{x}")))
+                            .chain(STRIP_THREADS.iter().filter_map(|&t| {
+                                ratio("parallel", (t, 1), format!("parallel@{t}"))
+                            }))
+                            .collect();
                     lines.push(format!(
                         "    {{\"family\": {}, \"n\": {}, \"conn\": {}, {}}}",
                         json::quote(family),
@@ -329,16 +351,29 @@ impl TiledReport {
     }
 }
 
+/// Which engines one (family, n, conn) point of a file covers.
+struct Coverage {
+    family: String,
+    n: u64,
+    conn: u64,
+    fast: bool,
+    shapes: Vec<(u64, u64)>,
+    strips: Vec<u64>,
+    ooc: bool,
+}
+
 /// Validates a tiled-sweep JSON document against the schema. Always
-/// enforced: every tiled entry is bit-identical, every out-of-core entry
-/// labeled a frame strictly taller than its band budget with the retired
-/// set matching the whole-frame engine and carried state within the
-/// `n/2 + 1` row bound, and each connectivity is covered by ≥ 2 families ×
-/// ≥ 3 sizes × ≥ 3 tile shapes plus at least one out-of-core point. With
-/// `require_full` the file must be a full-scale sweep and — when the
-/// recording host had ≥ [`MIN_HOST_THREADS`] hardware threads — meet the
-/// [`REQUIRED_SPEEDUP`] headline; on narrower hosts (a 1-core CI container
-/// cannot exhibit wall-clock speedup) everything else still applies.
+/// enforced: every tiled and strip entry is bit-identical, every strip
+/// entry records a `threads × 1` grid, every out-of-core entry labeled a
+/// frame strictly taller than its band budget with the retired set matching
+/// the whole-frame engine and carried state within the `n/2 + 1` row bound,
+/// and each connectivity is covered by ≥ 2 families × ≥ 3 sizes × (≥ 3 tile
+/// shapes and ≥ 3 strip thread counts) plus at least one out-of-core point.
+/// With `require_full` the file must be a full-scale sweep and — when the
+/// recording host had ≥ [`MIN_HOST_THREADS`] hardware threads — meet both
+/// headlines, [`TILED_SPEEDUP`] and [`STRIP_SPEEDUP`]; on narrower hosts (a
+/// 1-core CI container cannot exhibit wall-clock speedup) everything else
+/// still applies.
 pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
     let doc = json::parse(text)?;
     let obj = doc.as_object().ok_or("top level is not an object")?;
@@ -369,9 +404,7 @@ pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
     if entries.is_empty() {
         return Err("entries is empty".to_string());
     }
-    // (family, n, conn) → {fast seen, tiled shapes seen, ooc seen}.
-    type Point = (String, u64, u64, bool, Vec<(u64, u64)>, bool);
-    let mut coverage: Vec<Point> = Vec::new();
+    let mut coverage: Vec<Coverage> = Vec::new();
     for (i, e) in entries.iter().enumerate() {
         let ctx = |msg: &str| format!("entry {i}: {msg}");
         let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
@@ -405,7 +438,7 @@ pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
             .as_u64()
             .filter(|&t| t > 0)
             .ok_or_else(|| ctx("tiles_x is not a positive integer"))?;
-        field("threads")?
+        let threads = field("threads")?
             .as_u64()
             .filter(|&t| t > 0)
             .ok_or_else(|| ctx("threads is not a positive integer"))?;
@@ -434,9 +467,12 @@ pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
                     return Err(ctx("fast entries must record a 1x1 grid"));
                 }
             }
-            "tiled" => {
+            "tiled" | "parallel" => {
+                if engine == "parallel" && (tiles_y, tiles_x) != (threads, 1) {
+                    return Err(ctx("strip entries must record a threads x 1 grid"));
+                }
                 let ok = opt_bool("bit_identical")
-                    .ok_or_else(|| ctx("tiled entry lacks bit_identical"))?;
+                    .ok_or_else(|| ctx(&format!("{engine} entry lacks bit_identical")))?;
                 if !ok {
                     return Err(ctx("labels were not bit-identical to the fast engine"));
                 }
@@ -469,59 +505,60 @@ pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
             }
             other => return Err(ctx(&format!("unknown engine {other:?}"))),
         }
-        match coverage
-            .iter_mut()
-            .find(|(f, m, c, ..)| *f == family && *m == n && *c == conn)
+        let idx = match coverage
+            .iter()
+            .position(|c| c.family == family && c.n == n && c.conn == conn)
         {
-            Some((.., fast_seen, shapes, ooc_seen)) => match engine.as_str() {
-                "fast" => *fast_seen = true,
-                "tiled" => shapes.push((tiles_y, tiles_x)),
-                _ => *ooc_seen = true,
-            },
-            None => coverage.push((
-                family,
-                n,
-                conn,
-                engine == "fast",
-                if engine == "tiled" {
-                    vec![(tiles_y, tiles_x)]
-                } else {
-                    Vec::new()
-                },
-                engine == "ooc",
-            )),
+            Some(idx) => idx,
+            None => {
+                coverage.push(Coverage {
+                    family,
+                    n,
+                    conn,
+                    fast: false,
+                    shapes: Vec::new(),
+                    strips: Vec::new(),
+                    ooc: false,
+                });
+                coverage.len() - 1
+            }
+        };
+        let point = &mut coverage[idx];
+        match engine.as_str() {
+            "fast" => point.fast = true,
+            "tiled" => point.shapes.push((tiles_y, tiles_x)),
+            "parallel" => point.strips.push(threads),
+            _ => point.ooc = true,
         }
     }
     // Coverage: every counted point needs the sequential reference plus ≥ 3
-    // distinct tile shapes; each connectivity needs ≥ 2 families × ≥ 3
-    // sizes of such points and at least one out-of-core point.
+    // distinct tile shapes and ≥ 3 distinct strip thread counts; each
+    // connectivity needs ≥ 2 families × ≥ 3 sizes of such points and at
+    // least one out-of-core point.
+    fn distinct<T: Ord + Clone>(v: &[T]) -> usize {
+        let mut v = v.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        v.len()
+    }
     for want in [4u64, 8] {
-        let full_points: Vec<_> = coverage
+        let full_points: Vec<&Coverage> = coverage
             .iter()
-            .filter(|(_, _, c, fast_seen, shapes, _)| {
-                *c == want && *fast_seen && {
-                    let mut t = shapes.clone();
-                    t.sort_unstable();
-                    t.dedup();
-                    t.len() >= 3
-                }
+            .filter(|c| {
+                c.conn == want && c.fast && distinct(&c.shapes) >= 3 && distinct(&c.strips) >= 3
             })
             .collect();
-        let mut fams: Vec<&str> = full_points.iter().map(|(f, ..)| f.as_str()).collect();
-        fams.sort_unstable();
-        fams.dedup();
-        let mut ns: Vec<u64> = full_points.iter().map(|(_, n, ..)| *n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        if fams.len() < 2 || ns.len() < 3 {
+        let fams: Vec<&str> = full_points.iter().map(|c| c.family.as_str()).collect();
+        let ns: Vec<u64> = full_points.iter().map(|c| c.n).collect();
+        if distinct(&fams) < 2 || distinct(&ns) < 3 {
             return Err(format!(
                 "coverage too thin at {want}-connectivity: {} families × {} sizes \
-                 with fast + ≥3 tile shapes (need ≥ 2 × ≥ 3)",
-                fams.len(),
-                ns.len()
+                 with fast + ≥3 tile shapes + ≥3 strip thread counts (need ≥ 2 × ≥ 3)",
+                distinct(&fams),
+                distinct(&ns)
             ));
         }
-        if !coverage.iter().any(|(_, _, c, .., ooc)| *c == want && *ooc) {
+        if !coverage.iter().any(|c| c.conn == want && c.ooc) {
             return Err(format!("no out-of-core point at {want}-connectivity"));
         }
     }
@@ -541,14 +578,19 @@ pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
             })
         };
         let fast = best_of("fast", 1, 1).ok_or("no fast entry for random50 @ 2048 (4-conn)")?;
-        let tiled =
-            best_of("tiled", 2, 2).ok_or("no tiled 2x2 entry for random50 @ 2048 (4-conn)")?;
-        let ratio = fast as f64 / tiled.max(1) as f64;
-        if ratio < REQUIRED_SPEEDUP {
-            return Err(format!(
-                "tiled 2x2 is only {ratio:.2}× the fast engine on random50 @ 2048 \
-                 (need ≥ {REQUIRED_SPEEDUP}× on a host with ≥ {MIN_HOST_THREADS} threads)"
-            ));
+        for (engine, (ty, tx), what, required) in [
+            ("tiled", (2, 2), "tiled 2x2", TILED_SPEEDUP),
+            ("parallel", (4, 1), "parallel@4", STRIP_SPEEDUP),
+        ] {
+            let t = best_of(engine, ty, tx)
+                .ok_or_else(|| format!("no {what} entry for random50 @ 2048 (4-conn)"))?;
+            let ratio = fast as f64 / t.max(1) as f64;
+            if ratio < required {
+                return Err(format!(
+                    "{what} is only {ratio:.2}× the fast engine on random50 @ 2048 \
+                     (need ≥ {required}× on a host with ≥ {MIN_HOST_THREADS} threads)"
+                ));
+            }
         }
     }
     Ok(())
@@ -573,7 +615,7 @@ mod tests {
                         best_ns,
                         mean_ns: 4500,
                         reps: 3,
-                        bit_identical: (engine == "tiled").then_some(true),
+                        bit_identical: (engine == "tiled" || engine == "parallel").then_some(true),
                         band_rows: (engine == "ooc").then_some(n / 4),
                         peak_carried_runs: (engine == "ooc").then_some(n / 8),
                         components_match: (engine == "ooc").then_some(true),
@@ -582,6 +624,10 @@ mod tests {
                     for &shape in TILE_SHAPES {
                         entries.push(point("tiled", shape, TILE_THREADS, 2000));
                         // 2× speedup
+                    }
+                    for &t in STRIP_THREADS {
+                        // 4× at 4 threads
+                        entries.push(point("parallel", (t, 1), t, 4000 / (t as u64).min(4)));
                     }
                     entries.push(point("ooc", (1, 2), 2, 4400));
                 }
@@ -596,29 +642,61 @@ mod tests {
         }
     }
 
+    /// `tiny_report(host_threads)` with every `engine` entry slowed to the
+    /// sequential engine's time (no speedup at any shape or thread count).
+    fn without_speedup(host_threads: usize, engine: &str) -> TiledReport {
+        let mut report = tiny_report(host_threads);
+        for e in &mut report.entries {
+            if e.engine == engine {
+                e.best_ns = 4000;
+            }
+        }
+        report
+    }
+
     #[test]
     fn report_roundtrips_through_validation() {
         let text = tiny_report(8).to_json();
         validate(&text, false).expect("quick validation");
         validate(&text, true).expect("full validation");
+        assert!(text.contains("\"parallel@4\": 4.000"), "{text}");
     }
 
     #[test]
     fn validation_rejects_wrong_schema() {
         let text = tiny_report(8).to_json().replace(SCHEMA, "bogus/v0");
         assert!(validate(&text, false).is_err());
+        // The strip-less v1 schema is no longer accepted.
+        let text = tiny_report(8)
+            .to_json()
+            .replace(SCHEMA, "slap-bench-tiled/v1");
+        assert!(validate(&text, false).is_err());
     }
 
     #[test]
     fn validation_rejects_non_identical_labels() {
+        for engine in ["tiled", "parallel"] {
+            let mut report = tiny_report(8);
+            for e in &mut report.entries {
+                if e.engine == engine {
+                    e.bit_identical = Some(false);
+                }
+            }
+            let err = validate(&report.to_json(), false).unwrap_err();
+            assert!(err.contains("bit-identical"), "{engine}: {err}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_strips_of_the_wrong_shape() {
         let mut report = tiny_report(8);
         for e in &mut report.entries {
-            if e.engine == "tiled" {
-                e.bit_identical = Some(false);
+            if e.engine == "parallel" {
+                e.tiles = (1, e.threads); // columns, not strips
             }
         }
         let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("bit-identical"), "{err}");
+        assert!(err.contains("threads x 1"), "{err}");
     }
 
     #[test]
@@ -659,35 +737,35 @@ mod tests {
 
     #[test]
     fn full_validation_enforces_the_speedup_on_wide_hosts() {
-        let mut report = tiny_report(8);
-        for e in &mut report.entries {
-            if e.engine == "tiled" {
-                e.best_ns = 4000; // no speedup at any shape
-            }
+        for (engine, required) in [("tiled", "1.5"), ("parallel", "1.8")] {
+            let text = without_speedup(8, engine).to_json();
+            validate(&text, false).expect("quick validation ignores the ratio");
+            let err = validate(&text, true).unwrap_err();
+            assert!(err.contains(required), "{engine}: {err}");
         }
-        let text = report.to_json();
-        validate(&text, false).expect("quick validation ignores the ratio");
-        let err = validate(&text, true).unwrap_err();
-        assert!(err.contains("1.5"), "{err}");
     }
 
     #[test]
     fn full_validation_waives_the_speedup_on_narrow_hosts() {
         // Same no-speedup numbers, but recorded on a 1-thread host: the
-        // ratio criterion cannot apply there.
-        let mut report = tiny_report(1);
-        for e in &mut report.entries {
-            if e.engine == "tiled" {
-                e.best_ns = 4000;
-            }
+        // ratio criteria cannot apply there.
+        for engine in ["tiled", "parallel"] {
+            validate(&without_speedup(1, engine).to_json(), true)
+                .expect("narrow-host full validation");
         }
-        validate(&report.to_json(), true).expect("narrow-host full validation");
     }
 
     #[test]
     fn validation_rejects_thin_coverage() {
         let mut report = tiny_report(8);
         report.entries.retain(|e| e.family == "random50");
+        let err = validate(&report.to_json(), false).unwrap_err();
+        assert!(err.contains("coverage"), "{err}");
+        // Fewer than three strip thread counts per point is thin too.
+        let mut report = tiny_report(8);
+        report
+            .entries
+            .retain(|e| e.engine != "parallel" || e.threads <= 2);
         let err = validate(&report.to_json(), false).unwrap_err();
         assert!(err.contains("coverage"), "{err}");
     }

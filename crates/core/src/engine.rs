@@ -1,11 +1,11 @@
 //! The unified host-engine layer: one trait, persistent sessions, and a
 //! registry-driven dispatch surface.
 //!
-//! The workspace grew six host labeling engines — the BFS gold oracle, the
-//! word-parallel [`fast`](crate::fast) engine, its multithreaded 2-D tiled
-//! variant (whose `t × 1` strip shape is registered as `parallel`), the
-//! bounded-memory streaming engine, and the iterative
-//! label-equivalence propagation engine — and, as the two-pass parallel
+//! The workspace registers five whole-frame host labeling engines — the BFS
+//! gold oracle, the word-parallel [`fast`](crate::fast) engine, its
+//! multithreaded 2-D tiled variant (whose `t × 1` strip shape is registered
+//! as `parallel`), and the iterative label-equivalence propagation engine —
+//! and, as the two-pass parallel
 //! CCL literature observes (Gupta et al., arXiv:1606.05973), they all share
 //! one skeleton: *group foreground into equivalence classes, then resolve
 //! every pixel's class to the component minimum*. This module names that
@@ -17,11 +17,11 @@
 //!   per-tile pools) and reuses them across calls, so a warm session in
 //!   steady state performs **zero heap allocation** per frame — the
 //!   difference the `slap-bench reuse` sweep records.
-//! * [`BfsSession`], [`FastSession`], [`TiledSession`], [`StreamSession`],
+//! * [`BfsSession`], [`FastSession`], [`TiledSession`],
 //!   [`PropagateSession`] — the engines behind the trait (a
 //!   [`TiledSession`] serves both `tiled` and `parallel`). All produce
-//!   **bit-identical**
-//!   output (component minima are decomposition-invariant), which the
+//!   **bit-identical** output (component minima are
+//!   decomposition-invariant), which the
 //!   `engine_matrix` differential harness asserts across every registered
 //!   engine × workload family × connectivity.
 //! * [`EngineKind`] + [`registry`] — the dispatch layer: every engine
@@ -30,9 +30,13 @@
 //!   flag, the bench sweeps, the differential suites — pick engines from
 //!   *data* instead of hand-rolled match arms, the adaptive-selection shape
 //!   argued for by Sutton et al. (arXiv:1612.01178).
+//!
+//! The bounded-memory streaming engine ([`crate::stream`]) is not a
+//! registry row: it consumes rows and emits retirement records rather than
+//! writing a grid, and a warm [`crate::stream::StreamLabeler`] (`reset` per
+//! frame) is already its reusable session.
 
 use slap_image::fast::{FastLabeler, PropagateLabeler, TiledLabeler};
-use slap_image::stream::StreamGridLabeler;
 use slap_image::{BfsOracle, Bitmap, Connectivity, LabelGrid, TileStats};
 
 /// What one [`LabelEngine::label_into`] call observed. Cheap to produce
@@ -47,15 +51,12 @@ pub struct EngineStats {
     pub runs: usize,
     /// Worker threads used for this call (`1` for sequential engines).
     pub threads: usize,
-    /// Peak active-run frontier observed (streaming engine only; `0` for
-    /// whole-frame engines).
-    pub peak_frontier_runs: usize,
     /// Peak carried band-boundary state observed (out-of-core band
     /// scheduling only; `0` for single-pass engines).
     pub peak_carried_runs: usize,
     /// Coarse word × 2-row tile classification counts from the block-based
     /// first pass (run-based engines only; all-zero for the pixel-probing
-    /// oracle and the streaming engine, which scan no tiles). For the
+    /// oracle and the propagation engine, which scan no tiles). For the
     /// engines that do, `tiles.total() == words_per_row × rows`.
     pub tiles: TileStats,
     /// Relaxation rounds an iterative engine needed to reach its fixpoint,
@@ -127,7 +128,6 @@ impl LabelEngine for BfsSession {
             components,
             runs: 0,
             threads: 1,
-            peak_frontier_runs: 0,
             peak_carried_runs: 0,
             tiles: TileStats::default(),
             iterations: 0,
@@ -165,7 +165,6 @@ impl LabelEngine for FastSession {
             components: self.labeler.last_components(),
             runs: self.labeler.last_runs(),
             threads: 1,
-            peak_frontier_runs: 0,
             peak_carried_runs: 0,
             tiles: self.labeler.last_tile_stats(),
             iterations: 0,
@@ -214,7 +213,6 @@ impl LabelEngine for TiledSession {
             components: self.labeler.last_components(),
             runs: self.labeler.last_runs(),
             threads: self.labeler.threads(),
-            peak_frontier_runs: 0,
             peak_carried_runs: 0,
             tiles: self.labeler.last_tile_stats(),
             iterations: 0,
@@ -228,47 +226,6 @@ impl LabelEngine for TiledSession {
 
     fn threads(&self) -> usize {
         self.labeler.threads()
-    }
-}
-
-/// Session over the streaming engine ([`StreamGridLabeler`]): rows replayed
-/// one at a time through the bounded-frontier labeler, with a run log that
-/// turns the retirement records into a whole grid. The grid output costs
-/// `O(rows × cols)` like every other engine here; the union–find itself
-/// stays in the `O(cols + live)` frontier regime.
-#[derive(Debug, Default)]
-pub struct StreamSession {
-    labeler: StreamGridLabeler,
-}
-
-impl StreamSession {
-    /// Creates a session with empty (growable) scratch.
-    pub fn new() -> Self {
-        StreamSession::default()
-    }
-}
-
-impl LabelEngine for StreamSession {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Stream
-    }
-
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
-        self.labeler.label_into(img, conn, out);
-        EngineStats {
-            components: self.labeler.last_components(),
-            runs: self.labeler.last_runs(),
-            threads: 1,
-            peak_frontier_runs: self.labeler.last_stats().peak_frontier_runs,
-            peak_carried_runs: 0,
-            tiles: TileStats::default(),
-            iterations: 0,
-            reduction_passes: 0,
-        }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.labeler.scratch_bytes()
     }
 }
 
@@ -301,7 +258,6 @@ impl LabelEngine for PropagateSession {
             components: self.labeler.last_components(),
             runs: self.labeler.last_runs(),
             threads: 1,
-            peak_frontier_runs: 0,
             peak_carried_runs: 0,
             tiles: TileStats::default(),
             iterations: self.labeler.last_iterations(),
@@ -332,8 +288,6 @@ pub enum EngineKind {
         /// Tile rows.
         tiles_y: usize,
     },
-    /// Streaming run-based labeler (one row per beat, bounded frontier).
-    Stream,
     /// Iterative label-equivalence propagation (GPU-style relaxation rounds
     /// with pointer-jumping reduction).
     Propagate,
@@ -347,9 +301,6 @@ pub enum MemoryClass {
     PixelGrid,
     /// `O(runs)` arenas over the run universe.
     RunArena,
-    /// `O(cols + live components)` union–find; `O(runs)` only for the
-    /// grid-output log.
-    BoundedFrontier,
 }
 
 impl EngineKind {
@@ -378,7 +329,6 @@ impl EngineKind {
             EngineKind::Fast => "fast",
             EngineKind::Parallel => "parallel",
             EngineKind::Tiled { .. } => "tiled",
-            EngineKind::Stream => "stream",
             EngineKind::Propagate => "propagate",
         }
     }
@@ -413,7 +363,6 @@ impl EngineKind {
             EngineKind::Tiled { tiles_x, tiles_y } => {
                 Box::new(TiledSession::new(tiles_y, tiles_x, threads))
             }
-            EngineKind::Stream => Box::new(StreamSession::new()),
             EngineKind::Propagate => Box::new(PropagateSession::new()),
         }
     }
@@ -439,23 +388,19 @@ pub struct EngineInfo {
     pub multithreaded: bool,
     /// Auxiliary-memory scaling class.
     pub memory: MemoryClass,
-    /// Whether the underlying algorithm consumes rows incrementally (and so
-    /// also powers `slap stream` / unbounded ingest).
-    pub streaming: bool,
 }
 
 /// The registry rows: **the** single site where an engine is added.
 /// [`EngineKind::ALL`] (and through it [`EngineKind::parse`], the CLI's
 /// engine listing, and the registry-driven suites) derive from this array
 /// at compile time.
-const REGISTRY_ROWS: [EngineInfo; 6] = [
+const REGISTRY_ROWS: [EngineInfo; 5] = [
     EngineInfo {
         kind: EngineKind::Bfs,
         description: "sequential BFS flood fill — the gold reference oracle",
         connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
         memory: MemoryClass::PixelGrid,
-        streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Fast,
@@ -463,7 +408,6 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
         connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
         memory: MemoryClass::RunArena,
-        streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Parallel,
@@ -471,7 +415,6 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
         connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: true,
         memory: MemoryClass::RunArena,
-        streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Tiled {
@@ -482,15 +425,6 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
         connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: true,
         memory: MemoryClass::RunArena,
-        streaming: false,
-    },
-    EngineInfo {
-        kind: EngineKind::Stream,
-        description: "streaming scan-line labeler — O(cols + live) frontier, row-at-a-time input",
-        connectivities: &[Connectivity::Four, Connectivity::Eight],
-        multithreaded: false,
-        memory: MemoryClass::BoundedFrontier,
-        streaming: true,
     },
     EngineInfo {
         kind: EngineKind::Propagate,
@@ -498,7 +432,6 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
         connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
         memory: MemoryClass::RunArena,
-        streaming: false,
     },
 ];
 
@@ -526,7 +459,10 @@ mod tests {
             assert!(!row.description.is_empty());
             assert!(!row.connectivities.is_empty());
         }
+        assert_eq!(registry().len(), 5);
         assert_eq!(EngineKind::parse("oracle"), None);
+        // The streaming engine emits records, not grids: no registry row.
+        assert_eq!(EngineKind::parse("stream"), None);
     }
 
     #[test]
@@ -548,10 +484,6 @@ mod tests {
                 assert_eq!(stats.threads, session.threads(), "{}", info.kind);
                 if info.kind != EngineKind::Bfs {
                     assert!(stats.runs > 0, "{} reports its run universe", info.kind);
-                }
-                if info.kind == EngineKind::Stream {
-                    assert!(stats.peak_frontier_runs > 0);
-                    assert!(stats.peak_frontier_runs <= img.cols() / 2 + 1);
                 }
                 if info.kind == EngineKind::Propagate {
                     assert!(stats.iterations >= 1, "propagate counts its rounds");

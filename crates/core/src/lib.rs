@@ -36,11 +36,14 @@
 //! hierarchical pairwise-doubling seam merging in [`stitch::stitch_grid`],
 //! the specifications behind the tiled engine's seam passes.
 //!
-//! The [`engine`] module unifies those host engines behind one trait:
-//! [`LabelEngine`] sessions own their scratch arenas and relabel
+//! The [`engine`] module unifies the whole-frame host engines behind one
+//! trait: [`LabelEngine`] sessions own their scratch arenas and relabel
 //! allocation-free in steady state, and [`registry`] enumerates every engine
 //! with its capabilities so the CLI, the bench sweeps, and the differential
-//! suites dispatch from data rather than per-engine match arms.
+//! suites dispatch from data rather than per-engine match arms. The
+//! streaming engine emits retirement records, not grids, so it has no
+//! registry row: a warm [`stream::StreamLabeler`] (`reset` per frame) is its
+//! reusable session.
 //!
 //! # Quick start
 //!
@@ -74,7 +77,7 @@ pub use cc::{
 };
 pub use engine::{
     registry, BfsSession, EngineInfo, EngineKind, EngineStats, FastSession, LabelEngine,
-    MemoryClass, PropagateSession, StreamSession, TiledSession,
+    MemoryClass, PropagateSession, TiledSession,
 };
 pub use runs::label_components_runs;
 pub use slap_image::fast;

@@ -28,7 +28,8 @@
 //!   `O(cols + live components)` instead of `O(rows × cols)`, and finished
 //!   components retire with their feature records the moment they
 //!   disconnect — the host-side mirror of the paper's one-scan-line-per-beat
-//!   input discipline.
+//!   input discipline. It emits records, not a label grid; a warm
+//!   [`stream::StreamLabeler`] (`reset` per frame) is its reusable session.
 //! * [`gen`] — deterministic workload generators covering the benign, typical
 //!   and adversarial image families the paper reasons about (including the
 //!   Figure 3(a)/(b) patterns and the Theorem 5 even-rows family).
@@ -58,6 +59,4 @@ pub use fast::{
 };
 pub use labels::{ComponentInfo, LabelGrid};
 pub use oracle::{bfs_labels, bfs_labels_conn, BfsOracle};
-pub use stream::{
-    label_stream, BitmapRows, RetiredComponent, RowSource, StreamGridLabeler, StreamLabeler,
-};
+pub use stream::{label_stream, BitmapRows, RetiredComponent, RowSource, StreamLabeler};

@@ -28,13 +28,17 @@
 //! Input adapters implement [`RowSource`]: [`BitmapRows`] replays an
 //! in-memory [`Bitmap`], and [`crate::pbm::PbmRowReader`] streams P1/P4 PBM
 //! rows incrementally from any [`std::io::Read`] without materializing the
-//! image. [`label_stream`] drives a source to completion.
+//! image. [`label_stream`] drives a source to completion through a fresh
+//! labeler; [`StreamLabeler::label_source`] does the same on a warm one
+//! ([`StreamLabeler::reset`] keeps every arena), which is how a service
+//! labels one frame after another. The engine emits records, never a label
+//! grid, so it is not one of the whole-frame engines of the core crate's
+//! engine registry.
 
 use crate::bitmap::{
     count_ones_in_span, dilate_words_into, for_each_diagonal_pair, for_each_run_in_words, Bitmap,
 };
 use crate::connectivity::Connectivity;
-use crate::labels::LabelGrid;
 use std::io;
 
 /// The finished feature record of a retired component (every field is final:
@@ -154,11 +158,6 @@ struct Node {
     touched: u64,
     /// Stamp guarding the retirement scan against visiting a root twice.
     scanned: u64,
-    /// Component id under [`StreamLabeler::track_comps`] (0 otherwise).
-    /// Unlike slots, component ids are never recycled within a stream, so a
-    /// grid-producing caller can resolve which component a long-dead run
-    /// ended up in ([`StreamGridLabeler`]).
-    comp: u32,
     rec: RetiredComponent,
 }
 
@@ -196,17 +195,6 @@ pub struct StreamLabeler {
     and_buf: Vec<u64>,
     /// Scratch words for the dilated frontier row at 8-connectivity.
     dilate_buf: Vec<u64>,
-    /// When set, every component ever created gets a stable id: a slot
-    /// allocation mints a fresh id, a union records the merge in
-    /// `comp_parent`, and a retirement appends the root id to
-    /// `retired_comps` (parallel to `retired`). Off by default — the id
-    /// arena grows with the *total* component count, which would break the
-    /// `O(cols + live)` bound on unbounded streams.
-    track_comps: bool,
-    /// Union–find over component ids (grows monotonically; tracking only).
-    comp_parent: Vec<u32>,
-    /// Root component id per retirement, parallel to `retired`.
-    retired_comps: Vec<u32>,
     stats: StreamStats,
 }
 
@@ -231,9 +219,6 @@ impl StreamLabeler {
             retired: Vec::new(),
             and_buf: Vec::new(),
             dilate_buf: Vec::new(),
-            track_comps: false,
-            comp_parent: Vec::new(),
-            retired_comps: Vec::new(),
             stats: StreamStats {
                 cols,
                 ..StreamStats::default()
@@ -244,8 +229,7 @@ impl StreamLabeler {
     /// Rewinds the labeler to the state of a fresh [`StreamLabeler::new`]
     /// with possibly different dimensions or connectivity, **keeping every
     /// allocation**: a session labeling a stream of frames allocates only
-    /// when a frame exceeds all previous highs. Component tracking (an
-    /// internal mode of [`StreamGridLabeler`]) is switched off.
+    /// when a frame exceeds all previous highs.
     pub fn reset(&mut self, cols: usize, conn: Connectivity) {
         self.cols = cols;
         self.words_per_row = cols.div_ceil(64);
@@ -264,9 +248,6 @@ impl StreamLabeler {
         self.retired.clear();
         self.and_buf.clear();
         self.dilate_buf.clear();
-        self.track_comps = false;
-        self.comp_parent.clear();
-        self.retired_comps.clear();
         self.stats = StreamStats {
             cols,
             ..StreamStats::default()
@@ -289,8 +270,6 @@ impl StreamLabeler {
             + self.retired.capacity() * size_of::<RetiredComponent>()
             + self.and_buf.capacity() * size_of::<u64>()
             + self.dilate_buf.capacity() * size_of::<u64>()
-            + self.comp_parent.capacity() * size_of::<u32>()
-            + self.retired_comps.capacity() * size_of::<u32>()
     }
 
     /// Row width accepted by [`StreamLabeler::push_row`].
@@ -354,8 +333,29 @@ impl StreamLabeler {
     /// Removes and returns the components retired so far (draining keeps the
     /// labeler's footprint at `O(cols + live)` on long streams).
     pub fn drain_retired(&mut self) -> std::vec::Drain<'_, RetiredComponent> {
-        self.retired_comps.clear(); // keep the tracking vec parallel
         self.retired.drain(..)
+    }
+
+    /// Rewinds the labeler ([`StreamLabeler::reset`]) to `source`'s width
+    /// and `conn`, streams every row of `source` through it, and returns the
+    /// retired components plus run statistics. The records move out with
+    /// the result: a warm labeler keeps its `O(cols + live)` arenas between
+    /// calls but no record capacity.
+    pub fn label_source<S: RowSource>(
+        &mut self,
+        source: &mut S,
+        conn: Connectivity,
+    ) -> io::Result<StreamRun> {
+        self.reset(source.cols(), conn);
+        let mut words = Vec::with_capacity(self.words_per_row);
+        while source.next_row(&mut words)? {
+            self.push_row(&words);
+        }
+        let stats = self.finish();
+        Ok(StreamRun {
+            components: std::mem::take(&mut self.retired),
+            stats,
+        })
     }
 
     /// Sentinel for "no slot yet" in the merge sweep.
@@ -425,8 +425,6 @@ impl StreamLabeler {
                     nodes,
                     forwarded,
                     and_buf,
-                    track_comps,
-                    comp_parent,
                     ..
                 } = self;
                 and_buf.clear();
@@ -455,9 +453,6 @@ impl StreamLabeler {
                         let rec = nodes[lose].rec;
                         nodes[keep].rec.absorb(&rec);
                         nodes[lose].parent = cur;
-                        if *track_comps {
-                            comp_parent[nodes[lose].comp as usize] = nodes[keep].comp;
-                        }
                         forwarded.push(sq);
                     }
                 });
@@ -481,8 +476,6 @@ impl StreamLabeler {
                     forwarded,
                     and_buf,
                     dilate_buf,
-                    track_comps,
-                    comp_parent,
                     ..
                 } = self;
                 dilate_words_into(prev_words, cols, dilate_buf);
@@ -501,9 +494,6 @@ impl StreamLabeler {
                         let rec = nodes[lose].rec;
                         nodes[keep].rec.absorb(&rec);
                         nodes[lose].parent = cur;
-                        if *track_comps {
-                            comp_parent[nodes[lose].comp as usize] = nodes[keep].comp;
-                        }
                         forwarded.push(sq);
                     }
                 });
@@ -536,40 +526,28 @@ impl StreamLabeler {
                 perimeter: 2 + u64::from(up_exposed),
             };
             let slot = match self.cur_slots[i] {
-                Self::NONE => {
-                    let comp = if self.track_comps {
-                        let id = u32::try_from(self.comp_parent.len())
-                            .expect("more than u32::MAX components in one tracked stream");
-                        self.comp_parent.push(id);
-                        id
-                    } else {
-                        0
-                    };
-                    match self.free.pop() {
-                        Some(s) => {
-                            self.nodes[s as usize] = Node {
-                                parent: s,
-                                touched: stamp,
-                                scanned: 0,
-                                comp,
-                                rec,
-                            };
-                            s
-                        }
-                        None => {
-                            let s = u32::try_from(self.nodes.len())
-                                .expect("more than u32::MAX live union-find slots");
-                            self.nodes.push(Node {
-                                parent: s,
-                                touched: stamp,
-                                scanned: 0,
-                                comp,
-                                rec,
-                            });
-                            s
-                        }
+                Self::NONE => match self.free.pop() {
+                    Some(s) => {
+                        self.nodes[s as usize] = Node {
+                            parent: s,
+                            touched: stamp,
+                            scanned: 0,
+                            rec,
+                        };
+                        s
                     }
-                }
+                    None => {
+                        let s = u32::try_from(self.nodes.len())
+                            .expect("more than u32::MAX live union-find slots");
+                        self.nodes.push(Node {
+                            parent: s,
+                            touched: stamp,
+                            scanned: 0,
+                            rec,
+                        });
+                        s
+                    }
+                },
                 s => {
                     let s = Self::resolve(&mut self.nodes, s);
                     self.nodes[s as usize].rec.absorb(&rec);
@@ -597,9 +575,6 @@ impl StreamLabeler {
             node.scanned = stamp;
             if node.touched != stamp {
                 self.retired.push(node.rec);
-                if self.track_comps {
-                    self.retired_comps.push(node.comp);
-                }
                 self.stats.retired += 1;
                 self.free.push(s);
             }
@@ -614,156 +589,6 @@ impl StreamLabeler {
         std::mem::swap(&mut self.prev_slots, &mut self.cur_slots);
         self.prev_words.copy_from_slice(words);
         self.stats.peak_frontier_runs = self.stats.peak_frontier_runs.max(self.prev_runs.len());
-    }
-}
-
-/// Find with path halving over the component-id forest of a tracked stream.
-#[inline]
-fn comp_find(parent: &mut [u32], mut x: u32) -> u32 {
-    loop {
-        let p = parent[x as usize];
-        if p == x {
-            return x;
-        }
-        let g = parent[p as usize];
-        if g != p {
-            parent[x as usize] = g;
-        }
-        x = g;
-    }
-}
-
-/// A reusable session that labels whole frames **through the streaming
-/// engine**: rows are pushed one at a time into an internal component-tracked
-/// [`StreamLabeler`], every run is logged with the component id it joined,
-/// and once the stream finishes the retired records hand each component its
-/// paper label (minimum column-major position) — which one run-fill pass then
-/// writes into a [`LabelGrid`], bit-identical to
-/// [`crate::fast::fast_labels_conn`] and the BFS oracle.
-///
-/// The grid output necessarily costs `O(rows × cols)` (the grid itself) plus
-/// an `O(runs)` log, so this type trades the pure engine's bounded-memory
-/// guarantee for interchangeability with the whole-frame engines; the
-/// labeler's union–find still runs in the `O(cols + live)` frontier regime.
-/// All scratch (the inner labeler, the run log, the component arenas) is
-/// kept between calls.
-#[derive(Debug)]
-pub struct StreamGridLabeler {
-    inner: StreamLabeler,
-    /// Packed run bounds + component id per run, rows concatenated.
-    run_log: Vec<(u64, u32)>,
-    /// Index of the first logged run of each row, plus one sentinel.
-    row_runs: Vec<u32>,
-    /// Final label per retired component root id.
-    comp_label: Vec<u32>,
-}
-
-impl Default for StreamGridLabeler {
-    fn default() -> Self {
-        StreamGridLabeler::new()
-    }
-}
-
-impl StreamGridLabeler {
-    /// Creates a session with empty (growable) scratch storage.
-    pub fn new() -> Self {
-        StreamGridLabeler {
-            inner: StreamLabeler::new(0, Connectivity::Four),
-            run_log: Vec::new(),
-            row_runs: Vec::new(),
-            comp_label: Vec::new(),
-        }
-    }
-
-    /// Labels `img` into `out` (re-dimensioned; every cell written exactly
-    /// once) by replaying its rows through the streaming engine. With reused
-    /// storage of sufficient capacity the call performs no heap allocation.
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
-        let (rows, cols) = (img.rows(), img.cols());
-        self.inner.reset(cols, conn);
-        self.inner.track_comps = true;
-        self.run_log.clear();
-        self.row_runs.clear();
-        self.row_runs.reserve(rows + 1);
-        for r in 0..rows {
-            self.inner.push_row(img.row_words(r));
-            self.row_runs
-                .push(u32::try_from(self.run_log.len()).expect("run count exceeds u32"));
-            // After a push the frontier is this row: log its runs with the
-            // component each resolved into (roots between rows, so the comp
-            // id is current — later unions are chased through comp_parent).
-            let inner = &self.inner;
-            self.run_log.extend(
-                inner
-                    .prev_runs
-                    .iter()
-                    .zip(&inner.prev_slots)
-                    .map(|(&sb, &slot)| (sb, inner.nodes[slot as usize].comp)),
-            );
-        }
-        self.row_runs
-            .push(u32::try_from(self.run_log.len()).expect("run count exceeds u32"));
-        self.inner.finish();
-
-        // Every component is now retired; its record carries the minimum
-        // column-major position — the paper label — keyed by root comp id.
-        self.comp_label.clear();
-        self.comp_label
-            .resize(self.inner.comp_parent.len(), LabelGrid::BACKGROUND);
-        for (rec, &comp) in self.inner.retired.iter().zip(&self.inner.retired_comps) {
-            self.comp_label[comp as usize] = rec.label(rows) as u32;
-        }
-
-        // Output: one background fill + run-at-a-time label fills per row,
-        // resolving (and compressing) each logged component id.
-        out.reset_dims(rows, cols);
-        let StreamGridLabeler {
-            inner,
-            run_log,
-            row_runs,
-            comp_label,
-        } = self;
-        let comp_parent = &mut inner.comp_parent;
-        for r in 0..rows {
-            let row = out.row_mut(r);
-            row.fill(LabelGrid::BACKGROUND);
-            for entry in &mut run_log[row_runs[r] as usize..row_runs[r + 1] as usize] {
-                let root = comp_find(comp_parent, entry.1);
-                entry.1 = root;
-                let label = comp_label[root as usize];
-                let (a, b) = ((entry.0 >> 32) as usize, (entry.0 & 0xffff_ffff) as usize);
-                row[a] = label;
-                row[b] = label;
-                if b - a > 1 {
-                    row[a + 1..b].fill(label);
-                }
-            }
-        }
-    }
-
-    /// Statistics of the most recent call (frontier peaks, retirements).
-    pub fn last_stats(&self) -> StreamStats {
-        self.inner.stats()
-    }
-
-    /// Number of runs logged by the most recent call.
-    pub fn last_runs(&self) -> usize {
-        self.run_log.len()
-    }
-
-    /// Number of components labeled by the most recent call.
-    pub fn last_components(&self) -> usize {
-        self.inner.stats().retired as usize
-    }
-
-    /// Total bytes of scratch capacity currently reserved (inner labeler,
-    /// run log, and component arenas).
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.inner.scratch_bytes()
-            + self.run_log.capacity() * size_of::<(u64, u32)>()
-            + self.row_runs.capacity() * size_of::<u32>()
-            + self.comp_label.capacity() * size_of::<u32>()
     }
 }
 
@@ -834,16 +659,7 @@ pub struct StreamRun {
 /// returns the retired components plus run statistics. The image is never
 /// materialized: memory stays `O(cols + live + retired)`.
 pub fn label_stream<S: RowSource>(source: &mut S, conn: Connectivity) -> io::Result<StreamRun> {
-    let mut labeler = StreamLabeler::new(source.cols(), conn);
-    let mut words = Vec::with_capacity(source.cols().div_ceil(64));
-    while source.next_row(&mut words)? {
-        labeler.push_row(&words);
-    }
-    let stats = labeler.finish();
-    Ok(StreamRun {
-        components: labeler.drain_retired().collect(),
-        stats,
-    })
+    StreamLabeler::new(source.cols(), conn).label_source(source, conn)
 }
 
 #[cfg(test)]
@@ -1072,36 +888,26 @@ mod tests {
     }
 
     #[test]
-    fn grid_labeler_is_bit_identical_to_the_fast_engine() {
-        let mut session = StreamGridLabeler::new();
-        let mut grid = crate::labels::LabelGrid::new_background(1, 1);
-        for name in gen::WORKLOADS {
-            let img = gen::by_name(name, 33, 7).unwrap();
-            for conn in [Connectivity::Four, Connectivity::Eight] {
-                session.label_into(&img, conn, &mut grid);
-                assert_eq!(
-                    grid,
-                    fast_labels_conn(&img, conn),
-                    "workload {name} conn={conn:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn grid_labeler_survives_interleaved_dims_and_checker_density() {
         // Run-dense checker rows exercise the word-AND merge sweep; the
-        // interleaved sizes exercise session reset across dims.
-        let mut session = StreamGridLabeler::new();
-        let mut grid = crate::labels::LabelGrid::new_background(1, 1);
-        for (rows, cols) in [(64, 64), (3, 130), (65, 17), (1, 1), (200, 1)] {
-            let img = gen::uniform_random(rows, cols, 0.55, (rows * 31 + cols) as u64);
-            session.label_into(&img, Connectivity::Four, &mut grid);
-            assert_eq!(grid, fast_labels_conn(&img, Connectivity::Four));
+        // interleaved sizes exercise one warm labeler's reset across dims.
+        let mut labeler = StreamLabeler::new(1, Connectivity::Four);
+        let mut frames: Vec<Bitmap> = [(64, 64), (3, 130), (65, 17), (1, 1), (200, 1)]
+            .iter()
+            .map(|&(rows, cols)| gen::uniform_random(rows, cols, 0.55, (rows * 31 + cols) as u64))
+            .collect();
+        frames.push(gen::by_name("checker", 48, 0).unwrap());
+        for img in &frames {
+            labeler.reset(img.cols(), Connectivity::Four);
+            for r in 0..img.rows() {
+                labeler.push_row(img.row_words(r));
+            }
+            labeler.finish();
+            let mut warm: Vec<RetiredComponent> = labeler.drain_retired().collect();
+            warm.sort_unstable();
+            assert_eq!(warm, stream_sorted(img, Connectivity::Four));
+            assert_eq!(warm, reference_records(img, Connectivity::Four));
         }
-        let checker = gen::by_name("checker", 48, 0).unwrap();
-        session.label_into(&checker, Connectivity::Four, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&checker, Connectivity::Four));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use slap_image::bitmap::{dilate_words_into, for_each_diagonal_pair};
 use slap_image::pbm::{FramedPbmReader, PbmRowReader};
-use slap_image::stream::{BitmapRows, RowSource, StreamGridLabeler};
+use slap_image::stream::{BitmapRows, RowSource};
 use slap_image::{
     bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_out_of_core, label_stream, morph,
     pbm, tiled_labels_conn, Bitmap, Connectivity, FastLabeler, LabelGrid, TiledLabeler,
@@ -332,10 +332,22 @@ proptest! {
 
     #[test]
     fn stream_merge_sweep_is_bit_identical_on_arbitrary_bitmaps(bm in arb_wide_bitmap()) {
-        // Same end-to-end check for the stream engine's merge sweep.
-        let mut grid = LabelGrid::new_background(1, 1);
-        StreamGridLabeler::new().label_into(&bm, Connectivity::Eight, &mut grid);
-        prop_assert_eq!(grid, bfs_labels_conn(&bm, Connectivity::Eight));
+        // Same end-to-end check for the stream engine's merge sweep: the
+        // retired (paper label, area) multiset must be the oracle's.
+        let run = label_stream(&mut BitmapRows::new(&bm), Connectivity::Eight).unwrap();
+        let mut got: Vec<(u64, u64)> = run
+            .components
+            .iter()
+            .map(|c| (c.label(bm.rows()), c.area))
+            .collect();
+        got.sort_unstable();
+        let mut want: Vec<(u64, u64)> = bfs_labels_conn(&bm, Connectivity::Eight)
+            .component_stats()
+            .iter()
+            .map(|s| (u64::from(s.label), s.pixels as u64))
+            .collect();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 
     #[test]

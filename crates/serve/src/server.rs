@@ -43,7 +43,7 @@ use crate::poll::{poll_fds, set_nonblocking, PollFd, POLLERR, POLLHUP, POLLIN, P
 use crate::protocol::{self, ResponseMode, WireError};
 use crate::queue::{BoundedQueue, PushRejection};
 use crate::wire::PrefixParser;
-use slap_cc::stream::label_stream;
+use slap_cc::stream::StreamLabeler;
 use slap_cc::{Connectivity, EngineKind, LabelEngine};
 use slap_image::pbm::{PbmError, PbmRowReader, MAX_FRAME_BYTES};
 use slap_image::stream::RowSource;
@@ -1133,6 +1133,7 @@ fn install_quiet_panic_hook() {
 struct Engines {
     fast: Box<dyn LabelEngine>,
     parallel: Box<dyn LabelEngine>,
+    stream: StreamLabeler,
     ooc: OutOfCoreLabeler,
     grid: LabelGrid,
 }
@@ -1145,6 +1146,7 @@ impl Engines {
         Engines {
             fast: EngineKind::Fast.session(1),
             parallel: EngineKind::Parallel.session(cfg.engine_threads),
+            stream: StreamLabeler::new(0, cfg.conn),
             ooc: OutOfCoreLabeler::new(cfg.ooc_band_rows.clamp(1, band_cap), 1),
             grid: LabelGrid::new_background(1, 1),
         }
@@ -1168,8 +1170,9 @@ impl Engines {
     }
 
     /// Labels a stream job straight from its buffered frame body, never
-    /// materializing the pixels: `label_stream` for in-core sizes, the
-    /// out-of-core band scheduler above `max_pixels`. Returns the records
+    /// materializing the pixels: the warm row streamer for in-core sizes,
+    /// the out-of-core band scheduler above `max_pixels`. Returns the
+    /// records (moved out with the job, so no record capacity stays behind)
     /// plus the job's peak carried state (frontier or boundary runs).
     fn run_stream(
         &mut self,
@@ -1182,7 +1185,7 @@ impl Engines {
             let run = self.ooc.label_source(&mut rd, cfg.conn)?;
             Ok((run.components, run.stats.peak_carried_runs as u64))
         } else {
-            let run = label_stream(&mut rd, cfg.conn)?;
+            let run = self.stream.label_source(&mut rd, cfg.conn)?;
             Ok((run.components, run.stats.peak_frontier_runs as u64))
         }
     }

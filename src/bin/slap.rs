@@ -203,10 +203,10 @@ fn main() {
             }
         }
         "stream" => {
-            // The stream subcommand *is* the streaming engine; any other
+            // The stream subcommand *is* the streaming engine; a registered
             // `--engine` would have to materialize the frame, breaking the
             // O(cols + live) contract this path exists for.
-            if let Some(kind) = engine.filter(|&k| k != EngineKind::Stream) {
+            if let Some(kind) = engine {
                 die(&format!(
                     "slap stream runs the streaming engine; `--engine {kind}` would \
                      need the whole frame in memory (use `slap label --engine {kind}`)"
@@ -618,9 +618,6 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     );
     if engine_stats.runs > 0 {
         print!(", {} run(s)", engine_stats.runs);
-    }
-    if engine_stats.peak_frontier_runs > 0 {
-        print!(", peak frontier {}", engine_stats.peak_frontier_runs);
     }
     if engine_stats.peak_carried_runs > 0 {
         print!(", peak carried {}", engine_stats.peak_carried_runs);

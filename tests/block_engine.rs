@@ -17,14 +17,11 @@ use slap_repro::image::{bfs_labels_conn, gen, Bitmap, Connectivity, LabelGrid, T
 const WIDTHS: &[usize] = &[63, 64, 65, 127, 128];
 
 /// Whether `kind` labels through the run-based coarse-to-fine scan (and so
-/// must report a full tile classification); the pixel-probing oracle, the
-/// frontier-based streaming engine, and the whole-row iterative propagation
-/// engine scan no tiles and must report zero.
+/// must report a full tile classification); the pixel-probing oracle and
+/// the whole-row iterative propagation engine scan no tiles and must report
+/// zero.
 fn classifies_tiles(kind: EngineKind) -> bool {
-    !matches!(
-        kind,
-        EngineKind::Bfs | EngineKind::Stream | EngineKind::Propagate
-    )
+    !matches!(kind, EngineKind::Bfs | EngineKind::Propagate)
 }
 
 /// Exact word-tile count `kind`'s decomposition scans for `img`. Row splits

@@ -126,7 +126,7 @@ fn stream_labels_piped_pbm_with_bounded_memory_report() {
 fn label_and_features_dispatch_every_registered_engine() {
     let pbm_bytes = slap(&["gen", "blobs", "18", "4"]).stdout;
     let mut reports = Vec::new();
-    for engine in ["bfs", "fast", "parallel", "stream"] {
+    for engine in ["bfs", "fast", "parallel", "tiled", "propagate"] {
         let out = slap_with_stdin(&["label", "--engine", engine, "--conn", "8"], &pbm_bytes);
         let report = stdout_str(&out);
         assert!(
@@ -156,6 +156,14 @@ fn label_and_features_dispatch_every_registered_engine() {
     assert!(
         err.contains("registered engines") && err.contains("parallel"),
         "unknown-engine error should list the registry: {err}"
+    );
+    // `stream` is a subcommand, not a registered engine.
+    let bad = slap_with_stdin(&["label", "--engine", "stream"], &pbm_bytes);
+    assert!(!bad.status.success());
+    let err = String::from_utf8_lossy(&bad.stderr);
+    assert!(
+        err.contains("registered engines: bfs, fast, parallel, tiled, propagate"),
+        "{err}"
     );
     // `stream --engine fast` is a contradiction and must be refused.
     let bad = slap_with_stdin(&["stream", "--engine", "fast"], &pbm_bytes);

@@ -8,8 +8,9 @@
 //! allocation-free).
 
 use proptest::prelude::*;
-use slap_repro::cc::engine::{registry, EngineKind, FastSession, LabelEngine, StreamSession};
-use slap_repro::image::{bfs_labels_conn, gen, Bitmap, Connectivity, LabelGrid};
+use slap_repro::cc::engine::{registry, FastSession, LabelEngine};
+use slap_repro::image::stream::{label_stream, BitmapRows, RetiredComponent, StreamLabeler};
+use slap_repro::image::{bfs_labels_conn, fast_labels_conn, gen, Bitmap, Connectivity, LabelGrid};
 
 fn arb_frame() -> impl Strategy<Value = Bitmap> {
     // Dims straddle the 64-bit word boundary; densities span run-sparse to
@@ -20,6 +21,34 @@ fn arb_frame() -> impl Strategy<Value = Bitmap> {
 
 fn arb_conn() -> impl Strategy<Value = Connectivity> {
     prop::sample::select(vec![Connectivity::Four, Connectivity::Eight])
+}
+
+/// Streams `img` through the warm `labeler` (`reset` → `push_row` →
+/// `finish` → `drain_retired`) and returns its records, sorted.
+fn warm_records(
+    labeler: &mut StreamLabeler,
+    img: &Bitmap,
+    conn: Connectivity,
+) -> Vec<RetiredComponent> {
+    labeler.reset(img.cols(), conn);
+    for r in 0..img.rows() {
+        labeler.push_row(img.row_words(r));
+    }
+    labeler.finish();
+    let mut records: Vec<RetiredComponent> = labeler.drain_retired().collect();
+    records.sort_unstable();
+    records
+}
+
+/// Streams `img` through the warm `labeler` and asserts its records equal a
+/// fresh `label_stream`'s.
+fn check_warm_records_equal_fresh(labeler: &mut StreamLabeler, img: &Bitmap, conn: Connectivity) {
+    let warm = warm_records(labeler, img, conn);
+    let mut fresh = label_stream(&mut BitmapRows::new(img), conn)
+        .unwrap()
+        .components;
+    fresh.sort_unstable();
+    assert_eq!(warm, fresh, "warm vs fresh stream records");
 }
 
 /// Labels `img` with a warm `session` and asserts the result equals a fresh
@@ -42,9 +71,9 @@ fn check_warm_equals_fresh(session: &mut dyn LabelEngine, img: &Bitmap, conn: Co
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The ISSUE's reuse property: a warm `FastSession` / `StreamSession`
-    /// output is bit-identical to a fresh one's after interleaving frames of
-    /// different dims and families.
+    /// The reuse property: a warm `FastSession`'s grid and a warm
+    /// `StreamLabeler`'s records are identical to a fresh one's after
+    /// interleaving frames of different dims and families.
     #[test]
     fn warm_fast_and_stream_sessions_match_fresh_after_interleaved_frames(
         a in arb_frame(),
@@ -55,19 +84,23 @@ proptest! {
         side in 4usize..40,
     ) {
         let named = gen::by_name(family, side, 5).unwrap();
-        let mut fast: Box<dyn LabelEngine> = Box::new(FastSession::new());
-        let mut stream: Box<dyn LabelEngine> = Box::new(StreamSession::new());
-        for session in [fast.as_mut(), stream.as_mut()] {
-            let mut grid = LabelGrid::new_background(1, 1);
-            // Interleave frames of unrelated dims/densities, checking the
-            // warm output against a fresh session at every step.
-            session.label_into(&a, conn, &mut grid);
-            check_warm_equals_fresh(session, &b, conn);
-            session.label_into(&named, conn, &mut grid);
-            check_warm_equals_fresh(session, &c, conn);
-            // Re-labeling an earlier frame must reproduce it exactly.
-            check_warm_equals_fresh(session, &a, conn);
-        }
+        let mut fast = FastSession::new();
+        let mut grid = LabelGrid::new_background(1, 1);
+        // Interleave frames of unrelated dims/densities, checking the warm
+        // output against a fresh session at every step.
+        fast.label_into(&a, conn, &mut grid);
+        check_warm_equals_fresh(&mut fast, &b, conn);
+        fast.label_into(&named, conn, &mut grid);
+        check_warm_equals_fresh(&mut fast, &c, conn);
+        // Re-labeling an earlier frame must reproduce it exactly.
+        check_warm_equals_fresh(&mut fast, &a, conn);
+        // The streaming half: one warm labeler over the same interleaving.
+        let mut stream = StreamLabeler::new(1, conn);
+        warm_records(&mut stream, &a, conn);
+        check_warm_records_equal_fresh(&mut stream, &b, conn);
+        warm_records(&mut stream, &named, conn);
+        check_warm_records_equal_fresh(&mut stream, &c, conn);
+        check_warm_records_equal_fresh(&mut stream, &a, conn);
     }
 
     /// Warm calls are allocation-free: after a frame set has been seen
@@ -187,15 +220,20 @@ fn warm_fast_session_relabels_allocation_free_with_block_classification() {
 
 #[test]
 fn stream_session_grid_path_matches_pure_streaming_retirements() {
-    // The StreamSession grid labeler and the pure streaming path share one
-    // union-find; their component counts must agree frame after frame on a
-    // warm session.
-    let mut session = EngineKind::Stream.session(1);
-    let mut grid = LabelGrid::new_background(1, 1);
+    // A warm streaming labeler must retire exactly the whole-frame
+    // component count frame after frame, within the frontier bound.
+    let mut labeler = StreamLabeler::new(1, Connectivity::Four);
     for (i, name) in gen::WORKLOADS.iter().enumerate() {
         let img = gen::by_name(name, 24 + (i % 5) * 7, i as u64).unwrap();
-        let stats = session.label_into(&img, Connectivity::Four, &mut grid);
-        assert_eq!(stats.components, grid.component_count(), "workload {name}");
-        assert!(stats.peak_frontier_runs <= img.cols() / 2 + 1, "{name}");
+        let records = warm_records(&mut labeler, &img, Connectivity::Four);
+        assert_eq!(
+            records.len(),
+            fast_labels_conn(&img, Connectivity::Four).component_count(),
+            "workload {name}"
+        );
+        assert!(
+            labeler.stats().peak_frontier_runs <= img.cols() / 2 + 1,
+            "{name}"
+        );
     }
 }
