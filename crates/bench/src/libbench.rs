@@ -17,6 +17,8 @@
 pub mod baseline;
 pub mod experiments;
 pub mod json;
+#[cfg(test)]
+mod parallel;
 pub mod propagate;
 pub mod reuse;
 pub mod serve;
