@@ -1,7 +1,7 @@
 //! Criterion microbenches for the word-parallel fast engine: oracle vs.
 //! fast engine vs. simulated run-based Algorithm CC on the baseline
 //! workloads, at bench-friendly sizes. The full wall-clock trajectory lives
-//! in `slap-bench baseline` (`BENCH_baseline.json`).
+//! in `slap-bench record` (`BENCH.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slap_cc::{label_components_runs, CcOptions};

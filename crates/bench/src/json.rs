@@ -1,10 +1,14 @@
-//! A minimal JSON reader/writer for the baseline schema.
+//! A minimal JSON reader/writer for the `BENCH.json` schema.
 //!
-//! The workspace's `serde` is an offline no-op stub, so the baseline file is
-//! written by hand ([`crate::baseline::BaselineReport::to_json`]) and read
-//! back by this small recursive-descent parser — just enough JSON (objects,
-//! arrays, strings with the common escapes, numbers, booleans, null) for
-//! `slap-bench check` to validate the schema without any dependency.
+//! The workspace's `serde` is an offline no-op stub, so the bench file is
+//! written by hand ([`crate::record::Report::to_json`], one line per row
+//! through [`ObjectWriter`]) and read back by this small recursive-descent
+//! parser — just enough JSON (objects, arrays, strings with the common
+//! escapes, numbers, booleans, null) for `slap-bench check` to validate the
+//! schema without any dependency. [`Fields`] is the one typed field lookup
+//! every section of the file is read through.
+
+use std::fmt::{Display, Write as _};
 
 /// A parsed JSON value. Numbers keep their `f64` value; [`Json::as_u64`]
 /// reports integers only when exactly representable.
@@ -74,7 +78,7 @@ impl Json {
     }
 }
 
-/// Quotes a string as a JSON literal (escaping the characters the baseline
+/// Quotes a string as a JSON literal (escaping the characters the bench
 /// writer can produce).
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -94,6 +98,128 @@ pub fn quote(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// One JSON object read member by member. Every error names the object
+/// (`ctx`, e.g. `entry 3`) and the key that was missing or mistyped.
+pub struct Fields<'a> {
+    members: &'a [(String, Json)],
+    ctx: String,
+}
+
+impl<'a> Fields<'a> {
+    /// Views `value` as an object whose errors are prefixed with `ctx`.
+    pub fn of(value: &'a Json, ctx: String) -> Result<Self, String> {
+        match value.as_object() {
+            Some(members) => Ok(Fields { members, ctx }),
+            None => Err(format!("{ctx}: not an object")),
+        }
+    }
+
+    /// `msg` in this object's context.
+    pub fn err(&self, msg: &str) -> String {
+        format!("{}: {msg}", self.ctx)
+    }
+
+    /// An optional member converted by `conv`; present but not convertible
+    /// is an error naming `what` was expected.
+    pub fn opt<T>(
+        &self,
+        key: &str,
+        what: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.members.iter().find(|(k, _)| k == key) {
+            None => Ok(None),
+            Some((_, v)) => conv(v)
+                .map(Some)
+                .ok_or_else(|| self.err(&format!("{key} is not {what}"))),
+        }
+    }
+
+    /// A required member converted by `conv`.
+    pub fn req<T>(
+        &self,
+        key: &str,
+        what: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.opt(key, what, conv)?
+            .ok_or_else(|| self.err(&format!("missing {key:?}")))
+    }
+
+    /// A required non-negative integer.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.req(key, "an integer", Json::as_u64)
+    }
+
+    /// A required integer that indexes or counts in memory.
+    pub fn usize(&self, key: &str) -> Result<usize, String> {
+        Ok(self.u64(key)? as usize)
+    }
+
+    /// An optional integer that indexes or counts in memory.
+    pub fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
+        Ok(self
+            .opt(key, "an integer", Json::as_u64)?
+            .map(|v| v as usize))
+    }
+
+    /// A required string.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.req(key, "a string", Json::as_str)
+    }
+
+    /// A required boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.req(key, "a boolean", Json::as_bool)
+    }
+
+    /// An optional boolean.
+    pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, String> {
+        self.opt(key, "a boolean", Json::as_bool)
+    }
+
+    /// A required array.
+    pub fn array(&self, key: &str) -> Result<&'a [Json], String> {
+        self.req(key, "an array", Json::as_array)
+    }
+}
+
+/// Writes one JSON object on a single line, members in call order.
+#[derive(Default)]
+pub struct ObjectWriter {
+    body: String,
+}
+
+impl ObjectWriter {
+    /// A member whose value is already JSON (a number, a boolean, a quoted
+    /// string).
+    pub fn raw(mut self, key: &str, value: impl Display) -> Self {
+        if !self.body.is_empty() {
+            self.body.push_str(", ");
+        }
+        let _ = write!(self.body, "{}: {value}", quote(key));
+        self
+    }
+
+    /// A string member.
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.raw(key, quote(value))
+    }
+
+    /// A member written only when present.
+    pub fn opt(self, key: &str, value: Option<impl Display>) -> Self {
+        match value {
+            Some(v) => self.raw(key, v),
+            None => self,
+        }
+    }
+
+    /// The finished `{...}` text.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.body)
+    }
 }
 
 /// Parses one JSON document (rejecting trailing non-whitespace).
@@ -264,11 +390,17 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-read as UTF-8 from this byte.
+                    // Decode one UTF-8 char from this byte. The window is at
+                    // most 4 bytes, so a string costs linear time, not a
+                    // validation of the rest of the document per char.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().unwrap();
+                    let window = &self.bytes[start..self.bytes.len().min(start + 4)];
+                    let valid = match std::str::from_utf8(window) {
+                        Ok(s) => s,
+                        Err(e) => std::str::from_utf8(&window[..e.valid_up_to()])
+                            .expect("a valid_up_to prefix is valid UTF-8"),
+                    };
+                    let c = valid.chars().next().ok_or("invalid UTF-8 in string")?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }

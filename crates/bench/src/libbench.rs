@@ -14,18 +14,28 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod experiments;
 pub mod json;
-#[cfg(test)]
-mod parallel;
-pub mod propagate;
-pub mod reuse;
-pub mod serve;
-pub mod stream;
+pub mod record;
 pub mod sweep;
 pub mod table;
-pub mod tiled;
+
+// Tests of the `record::validate` gates, one module per engine family of
+// gates (the module names keep the test names stable).
+#[cfg(test)]
+mod baseline;
+#[cfg(test)]
+mod parallel;
+#[cfg(test)]
+mod propagate;
+#[cfg(test)]
+mod reuse;
+#[cfg(test)]
+mod serve;
+#[cfg(test)]
+mod stream;
+#[cfg(test)]
+mod tiled;
 
 pub use table::Table;
 

@@ -1,25 +1,36 @@
-//! Tests of the strip points the `slap-bench tiled` recorder carries for
-//! the registry's `parallel` engine.
+//! Tests of the strip rows `record::record` times for the registry's
+//! `parallel` engine.
 //!
-//! There is no separate strip recorder: `BENCH_tiled.json` times the
-//! `T × 1` tiles that `EngineKind::Parallel.session(T)` opens at every `T`
-//! in [`crate::tiled::STRIP_THREADS`], and [`crate::tiled::validate`]
-//! holds their gates — bit-identity to the fast engine, a `threads × 1`
-//! grid, ≥ 3 strip thread counts per covered point, and strips @ 4 threads
-//! ≥ [`crate::tiled::STRIP_SPEEDUP`]× the fast engine on hosts with ≥ 4
+//! There is no separate strip recorder: `BENCH.json` times the `T × 1`
+//! tiles that `EngineKind::Parallel.session(T)` opens at every `T` in
+//! [`crate::record::STRIP_THREADS`], and [`crate::record::validate`] holds
+//! their gates — bit-identity to the oracle, a `threads × 1` grid, ≥ 3
+//! strip thread counts per covered point, and strips @ 4 threads ≥
+//! [`crate::record::STRIP_SPEEDUP`]× the fast engine on hosts with ≥ 4
 //! hardware threads. These tests pin those gates.
 
 mod tests {
-    use crate::tiled::tests::{tiny_report, without_speedup};
-    use crate::tiled::{run_tiled, validate, STRIP_THREADS};
+    use crate::record::tests::{quick_run, tiny_report};
+    use crate::record::{validate, Report, SCHEMA, STRIP_THREADS};
+    use crate::tiled::tests::without_speedup;
 
     #[test]
     fn report_roundtrips_through_validation() {
         let text = tiny_report(8).to_json();
         validate(&text, false).expect("quick validation");
         validate(&text, true).expect("full validation");
-        assert!(text.contains("\"strip_threads\": [1, 2, 4, 8]"), "{text}");
-        assert!(text.contains("\"parallel@4\": 4.000"), "{text}");
+        let report = Report::from_json(&text).expect("parse");
+        let at = |engine: &str, threads: usize| {
+            let e = report.entries.iter().find(|e| {
+                (e.engine.as_str(), e.threads, e.family.as_str(), e.n, e.conn)
+                    == (engine, threads, "random50", 2048, 4)
+            });
+            e.map(|e| e.best_ns).expect("headline row")
+        };
+        for &t in STRIP_THREADS {
+            at("parallel", t);
+        }
+        assert_eq!(at("fast", 1), 4 * at("parallel", 4));
     }
 
     #[test]
@@ -27,12 +38,12 @@ mod tests {
         // The strip-less v1 tiled schema cannot stand in for the strips.
         let text = tiny_report(8)
             .to_json()
-            .replace(crate::tiled::SCHEMA, "slap-bench-tiled/v1");
+            .replace(SCHEMA, "slap-bench-tiled/v1");
         assert!(validate(&text, false).is_err());
         // Nor can the retired stand-alone strip schema.
         let text = tiny_report(8)
             .to_json()
-            .replace(crate::tiled::SCHEMA, "slap-bench-parallel/v1");
+            .replace(SCHEMA, "slap-bench-parallel/v1");
         assert!(validate(&text, false).is_err());
     }
 
@@ -53,11 +64,20 @@ mod tests {
         let mut report = tiny_report(8);
         for e in &mut report.entries {
             if e.engine == "parallel" {
-                e.tiles = (1, e.threads); // columns, not strips
+                e.grid = (1, e.threads); // columns, not strips
             }
         }
         let err = validate(&report.to_json(), false).unwrap_err();
         assert!(err.contains("threads x 1"), "{err}");
+        // The sequential reference is one tile.
+        let mut report = tiny_report(8);
+        for e in &mut report.entries {
+            if e.engine == "fast" {
+                e.grid = (2, 1);
+            }
+        }
+        let err = validate(&report.to_json(), false).unwrap_err();
+        assert!(err.contains("1x1 grid"), "{err}");
     }
 
     #[test]
@@ -94,8 +114,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_smoke() {
-        let report = run_tiled(true, |_| {});
-        validate(&report.to_json(), false).expect("fresh quick sweep validates");
+        let report = quick_run();
         let fast_points = report.entries.iter().filter(|e| e.engine == "fast");
         for point in fast_points {
             for &t in STRIP_THREADS {
@@ -109,7 +128,7 @@ mod tests {
                             && e.threads == t
                     })
                     .unwrap_or_else(|| panic!("no strip@{t} at {point:?}"));
-                assert_eq!(strip.tiles, (t, 1), "{strip:?}");
+                assert_eq!(strip.grid, (t, 1), "{strip:?}");
                 assert_eq!(strip.bit_identical, Some(true), "{strip:?}");
             }
         }

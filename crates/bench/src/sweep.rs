@@ -1,14 +1,13 @@
-//! The shared sweep harness: one family × size × connectivity driver and
-//! one timing protocol for every `slap-bench` recorder.
+//! The sweep harness: one family × size × connectivity driver and one
+//! timing protocol.
 //!
-//! The baseline, tiled, reuse, and propagate sweeps all walk the
-//! same grid — deterministic workload families at a ladder of sizes, both
-//! adjacency conventions, repetitions scaled to the image — and differ only
-//! in what they time at each point. [`drive`] owns the walk (and the
-//! workload generation and rep policy); recorders own just their per-point
-//! closure. Keeping the protocol in one place means every committed
-//! `BENCH_*.json` is comparable: same seed, same generator calls, same
-//! best/mean-of-N discipline.
+//! `slap-bench record` walks one grid — deterministic workload families at
+//! a ladder of sizes, both adjacency conventions, repetitions scaled to the
+//! image — and times every engine at each point, so every row of
+//! `BENCH.json` shares one seed, one generator call per (family, n), and
+//! one best/mean-of-N discipline. [`drive`] owns the walk (and the
+//! workload generation and rep policy); the recorder owns the per-point
+//! closure.
 
 use slap_image::{gen, Bitmap, Connectivity};
 use std::time::Instant;

@@ -16,7 +16,8 @@
 //!   its scratch arenas (run tables, union–find nodes, frontier buffers,
 //!   per-tile pools) and reuses them across calls, so a warm session in
 //!   steady state performs **zero heap allocation** per frame — the
-//!   difference the `slap-bench reuse` sweep records.
+//!   difference `slap-bench record` times as each row's cold and warm
+//!   columns in `BENCH.json`.
 //! * [`BfsSession`], [`FastSession`], [`TiledSession`],
 //!   [`PropagateSession`] — the engines behind the trait (a
 //!   [`TiledSession`] serves both `tiled` and `parallel`). All produce

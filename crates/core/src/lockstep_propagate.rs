@@ -3,11 +3,11 @@
 //! paper's machine model, with grid output for differential testing.
 //!
 //! [`crate::lockstep_cc::label_components_lockstep`] runs the paper's
-//! pipeline Algorithm CC on the same executor; `slap-bench propagate` puts
-//! the two side by side on identical inputs, recording exactly how many
-//! machine rounds the naive neighbor-relaxation iteration pays for its
-//! locality (one column of label travel per iteration) against the
-//! pipeline's single sweep each way.
+//! pipeline Algorithm CC on the same executor; the `lockstep` section of
+//! `slap-bench record` puts the two side by side on identical inputs,
+//! recording exactly how many machine rounds the naive neighbor-relaxation
+//! iteration pays for its locality (one column of label travel per
+//! iteration) against the pipeline's single sweep each way.
 
 use slap_image::{Bitmap, Connectivity, LabelGrid};
 use slap_machine::propagate::propagate_lockstep;

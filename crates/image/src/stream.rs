@@ -23,7 +23,8 @@
 //! plus a per-component feature fold would produce — the differential suites
 //! replay every generator family row-by-row and compare record-for-record,
 //! keyed by the paper label — and the frontier bound is asserted by tests
-//! and enforced by the `slap-bench stream` schema validator.
+//! and enforced on the `stream` rows of `BENCH.json` by `slap-bench record`'s
+//! validator.
 //!
 //! Input adapters implement [`RowSource`]: [`BitmapRows`] replays an
 //! in-memory [`Bitmap`], and [`crate::pbm::PbmRowReader`] streams P1/P4 PBM

@@ -18,10 +18,11 @@
 //! sweep each way) was designed to break, three decades before the same
 //! contrast reappeared between GPU label-equivalence kernels and
 //! union–find-based CCL (Chen et al., arXiv:1708.08180). Running both on
-//! identical inputs (`slap-bench propagate`) records that gap in exact
-//! machine rounds; the host twin (`slap_image::fast::propagate`) shows what
-//! root-hooking plus pointer-jumping reduction does to the iteration count
-//! when global memory *is* available.
+//! identical inputs (the `lockstep` section of `slap-bench record`) records
+//! that gap in exact machine rounds; the host twin
+//! (`slap_image::fast::propagate`) shows what root-hooking plus
+//! pointer-jumping reduction does to the iteration count when global memory
+//! *is* available.
 //!
 //! Labels are initialized to the column-major position of the run's first
 //! pixel (`col * rows + start`), so the Jacobi fixpoint labels every

@@ -99,6 +99,6 @@ fn main() {
 
     println!(
         "\nevery engine produced bit-identical grids; warm passes reuse the\n\
-         sessions' arenas (see BENCH_reuse.json for the recorded sweep)"
+         sessions' arenas (see BENCH.json for the recorded sweep)"
     );
 }
