@@ -14,9 +14,13 @@
 //! Switching between the two drops the pooled connection and dials a
 //! fresh one in the right mode — a connection's response mode is fixed
 //! at its hello.
+//!
+//! Each pooled connection is one buffered reader over its socket, made at
+//! dial time: the hello echo and every reply are read through it, and
+//! frames are written through [`BufReader::get_mut`].
 
 use crate::chaos::DetRng;
-use crate::protocol::{self, JobOk, JobStream, Response, ResponseMode, StreamResponse, WireError};
+use crate::protocol::{self, JobOk, JobStream, Reply, ReplyKind, ResponseMode, WireError};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -119,7 +123,7 @@ pub struct Client {
     addr: SocketAddr,
     policy: RetryPolicy,
     rng: DetRng,
-    stream: Option<TcpStream>,
+    conn: Option<BufReader<TcpStream>>,
     mode: ResponseMode,
     frame: Vec<u8>,
     retries: u64,
@@ -139,7 +143,7 @@ impl Client {
             addr,
             policy,
             rng,
-            stream: None,
+            conn: None,
             mode: ResponseMode::Grid,
             frame: Vec::new(),
             retries: 0,
@@ -157,9 +161,7 @@ impl Client {
     /// unservable. Uses a plain v1 grid connection; if the pooled
     /// connection was negotiated for streaming it is dropped first.
     pub fn label(&mut self, img: &slap_image::Bitmap) -> Result<JobOk, ClientError> {
-        self.frame.clear();
-        slap_image::pbm::write_framed(img, &mut self.frame)?;
-        self.retry(Client::attempt_grid)
+        self.submit(img)
     }
 
     /// Labels `img` in protocol-v2 `stream` mode, retrying transient
@@ -167,17 +169,14 @@ impl Client {
     /// instead of a label grid — the server never materializes the grid,
     /// so this is the path for frames above the server's grid budget.
     pub fn label_stream(&mut self, img: &slap_image::Bitmap) -> Result<JobStream, ClientError> {
-        self.frame.clear();
-        slap_image::pbm::write_framed(img, &mut self.frame)?;
-        self.retry(Client::attempt_stream)
+        self.submit(img)
     }
 
-    /// The shared retry loop: both response modes differ only in how one
-    /// attempt submits the frame and parses the reply.
-    fn retry<T>(
-        &mut self,
-        attempt_one: fn(&mut Client, &[u8]) -> Result<T, AttemptError>,
-    ) -> Result<T, ClientError> {
+    /// The shared retry loop: both response modes differ only in the reply
+    /// kind `T` one attempt asks for and reads.
+    fn submit<T: ReplyKind>(&mut self, img: &slap_image::Bitmap) -> Result<T, ClientError> {
+        self.frame.clear();
+        slap_image::pbm::write_framed(img, &mut self.frame)?;
         let mut last: Option<AttemptError> = None;
         for attempt in 0..self.policy.max_attempts {
             if attempt > 0 {
@@ -185,13 +184,13 @@ impl Client {
                 self.retries += 1;
             }
             let frame = std::mem::take(&mut self.frame);
-            let outcome = attempt_one(self, &frame);
+            let outcome = self.attempt::<T>(&frame);
             self.frame = frame;
             match outcome {
                 Ok(reply) => return Ok(reply),
                 Err(e) if e.retryable() => {
                     // The stream may be desynced or dead; reconnect fresh.
-                    self.stream = None;
+                    self.conn = None;
                     last = Some(e);
                 }
                 Err(AttemptError::Rejected { code, detail }) => {
@@ -209,72 +208,47 @@ impl Client {
     /// Ensures the pooled connection exists and was dialed for `mode`,
     /// reconnecting (and renegotiating) when the mode differs. Grid mode
     /// sends no hello at all, so v1 servers keep working.
-    fn ensure_conn(&mut self, mode: ResponseMode) -> Result<(), AttemptError> {
-        let io_err = AttemptError::Io;
+    fn ensure_conn(&mut self, mode: ResponseMode) -> io::Result<&mut BufReader<TcpStream>> {
         if self.mode != mode {
-            self.stream = None;
+            self.conn = None;
         }
-        if self.stream.is_none() {
-            let stream = TcpStream::connect(self.addr).map_err(io_err)?;
-            stream
-                .set_read_timeout(Some(self.policy.io_timeout))
-                .map_err(io_err)?;
-            stream
-                .set_write_timeout(Some(self.policy.io_timeout))
-                .map_err(io_err)?;
+        if self.conn.is_none() {
+            let stream = TcpStream::connect(self.addr)?;
+            stream.set_read_timeout(Some(self.policy.io_timeout))?;
+            stream.set_write_timeout(Some(self.policy.io_timeout))?;
             let _ = stream.set_nodelay(true);
+            let mut conn = BufReader::new(stream);
             if mode == ResponseMode::Stream {
-                protocol::write_hello(&mut (&stream), mode).map_err(io_err)?;
-                let mut reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-                let echoed = protocol::read_hello(&mut reader).map_err(io_err)?;
+                protocol::write_hello(conn.get_mut(), mode)?;
+                let echoed = protocol::read_hello(&mut conn)?;
                 if echoed != ResponseMode::Stream {
-                    return Err(AttemptError::Io(io::Error::new(
+                    return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("server echoed mode {echoed}, wanted stream"),
-                    )));
+                    ));
                 }
             }
-            self.stream = Some(stream);
+            self.conn = Some(conn);
             self.mode = mode;
         }
-        Ok(())
+        Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    fn attempt_grid(&mut self, frame: &[u8]) -> Result<JobOk, AttemptError> {
-        let io_err = AttemptError::Io;
-        self.ensure_conn(ResponseMode::Grid)?;
-        let stream = self.stream.as_mut().expect("just connected");
-        stream.write_all(frame).map_err(io_err)?;
-        stream.flush().map_err(io_err)?;
-        let mut reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-        match protocol::read_response(&mut reader).map_err(io_err)? {
+    /// One submission: write the frame on a connection in `T`'s mode and
+    /// read one reply of kind `T`.
+    fn attempt<T: ReplyKind>(&mut self, frame: &[u8]) -> Result<T, AttemptError> {
+        let conn = self.ensure_conn(T::MODE).map_err(AttemptError::Io)?;
+        conn.get_mut()
+            .write_all(frame)
+            .and_then(|()| conn.get_mut().flush())
+            .map_err(AttemptError::Io)?;
+        match protocol::read_reply::<_, T>(conn).map_err(AttemptError::Io)? {
             None => Err(AttemptError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed before answering",
             ))),
-            Some(Response::Ok(ok)) => Ok(ok),
-            Some(Response::Rejected { code, detail }) => {
-                Err(AttemptError::Rejected { code, detail })
-            }
-        }
-    }
-
-    fn attempt_stream(&mut self, frame: &[u8]) -> Result<JobStream, AttemptError> {
-        let io_err = AttemptError::Io;
-        self.ensure_conn(ResponseMode::Stream)?;
-        let stream = self.stream.as_mut().expect("just connected");
-        stream.write_all(frame).map_err(io_err)?;
-        stream.flush().map_err(io_err)?;
-        let mut reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-        match protocol::read_stream_response(&mut reader).map_err(io_err)? {
-            None => Err(AttemptError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed before answering",
-            ))),
-            Some(StreamResponse::Ok(ok)) => Ok(ok),
-            Some(StreamResponse::Rejected { code, detail }) => {
-                Err(AttemptError::Rejected { code, detail })
-            }
+            Some(Reply::Ok(ok)) => Ok(ok),
+            Some(Reply::Rejected { code, detail }) => Err(AttemptError::Rejected { code, detail }),
         }
     }
 

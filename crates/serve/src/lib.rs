@@ -10,13 +10,13 @@
 //!   backpressure, warm worker-held engine sessions routed by job size,
 //!   per-job wall-clock deadlines with a watchdog, panic isolation with
 //!   session rebuild, and graceful drain.
-//! * [`protocol`] — the wire format: framed-PBM jobs in, `OK` label
-//!   payloads, v2 `STREAM` feature-record responses, or a closed taxonomy
-//!   of typed `ERR` codes out, with a versioned hello so v1 clients keep
-//!   working untouched.
+//! * [`protocol`] — the wire format: framed-PBM jobs in; `OK` label grids,
+//!   v2 `STREAM` feature records (both one counted fixed-width payload), or
+//!   a closed taxonomy of typed `ERR` codes out, with a versioned hello so
+//!   v1 clients keep working untouched.
 //! * [`wire`] — the shared length-prefixed [`wire::Frame`] codec (one
-//!   implementation for request framing, PBM ingest, and stream records)
-//!   and the fixed-width feature-record encoding.
+//!   implementation for request framing and PBM ingest) and the
+//!   fixed-width feature-record encoding.
 //! * [`poll`] — the minimal raw-libc `poll(2)` shim behind the
 //!   readiness-based connection core (idle keep-alives cost no thread).
 //! * [`client::Client`] — connection pooling and jittered-exponential
@@ -41,7 +41,7 @@ pub mod wire;
 
 pub use chaos::{Delivery, DetRng, FaultClass, FaultyStream};
 pub use client::{Client, ClientError, RetryPolicy};
-pub use protocol::{JobOk, JobStream, Response, ResponseMode, StreamResponse, WireError};
+pub use protocol::{JobOk, JobStream, Reply, Response, ResponseMode, StreamResponse, WireError};
 pub use queue::{BoundedQueue, PushRejection};
 pub use server::{JobHook, ServeConfig, Server, ServerStats, StatsSnapshot};
 pub use wire::{Frame, FrameError, RECORD_BYTES};

@@ -24,6 +24,10 @@
 //!   jobs above `max_pixels` are not rejected: they route through the
 //!   out-of-core band scheduler at `O(cols + live)` carried state, with
 //!   `max_stream_pixels` as the hard cap.
+//! * **Workers encode replies; the poll loop moves bytes**: a worker
+//!   labels the job and encodes its whole `OK` or `STREAM` reply
+//!   ([`crate::protocol`]); the poll loop only moves those bytes into the
+//!   connection's output buffer and on to the socket.
 //! * **Backpressure** is the bounded queue — when it is full the client
 //!   gets a typed `queue-full` rejection immediately; the server never
 //!   buffers unbounded work.
@@ -40,14 +44,14 @@
 //!   final stats snapshot.
 
 use crate::poll::{poll_fds, set_nonblocking, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use crate::protocol::{self, ResponseMode, WireError};
+use crate::protocol::{self, JobOk, JobStream, ResponseMode, WireError};
 use crate::queue::{BoundedQueue, PushRejection};
 use crate::wire::PrefixParser;
 use slap_cc::stream::StreamLabeler;
 use slap_cc::{Connectivity, EngineKind, LabelEngine};
 use slap_image::pbm::{PbmError, PbmRowReader, MAX_FRAME_BYTES};
 use slap_image::stream::RowSource;
-use slap_image::{Bitmap, LabelGrid, OutOfCoreLabeler, RetiredComponent};
+use slap_image::{Bitmap, LabelGrid, OutOfCoreLabeler};
 use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -277,13 +281,11 @@ struct Job {
 }
 
 enum Outcome {
-    Labeled {
-        components: usize,
-        labels: Vec<u32>,
-    },
-    Streamed {
-        records: Vec<RetiredComponent>,
-        ooc: bool,
+    /// The job was labeled: its reply, encoded by the worker, and the
+    /// counters to credit once those bytes reach the socket.
+    Replied {
+        bytes: Vec<u8>,
+        credit: Credit,
     },
     /// The job failed inside the worker for a reason that is the job's
     /// fault (e.g. a truncated raster discovered while streaming the
@@ -378,8 +380,6 @@ struct Conn {
     /// Armed at drain start as a backstop for unflushable connections.
     drain_deadline: Option<Instant>,
     seq: u64,
-    job_rows: usize,
-    job_cols: usize,
     read_eof: bool,
     close_after_flush: bool,
 }
@@ -403,8 +403,6 @@ impl Conn {
             job_deadline: None,
             drain_deadline: None,
             seq: 0,
-            job_rows: 0,
-            job_cols: 0,
             read_eof: false,
             close_after_flush: false,
         }
@@ -564,8 +562,7 @@ fn ingest(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut C
                 if b == b'\n' {
                     let granted = std::str::from_utf8(&conn.greet)
                         .ok()
-                        .and_then(protocol::parse_hello)
-                        .map(|(_, mode)| mode);
+                        .and_then(protocol::parse_hello);
                     match granted {
                         Some(mode) => {
                             conn.mode = mode;
@@ -709,7 +706,8 @@ fn admit(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut Co
                     }
                 }
             }
-            // Weight = bitmap words + the label grid the worker hands back.
+            // Weight = bitmap words + the encoded label grid the worker
+            // hands back.
             let weight = img.as_words().len() * 8 + (pixels as usize) * 4;
             (Payload::Grid(img), weight)
         }
@@ -753,8 +751,6 @@ fn admit(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut Co
         }
         Ok(()) => {
             conn.phase = Phase::InFlight;
-            conn.job_rows = rows;
-            conn.job_cols = cols;
             // Workers race the deadline; give them a grace period so their
             // own expiry report (or the watchdog's) normally wins.
             let wait = cfg.deadline + cfg.deadline / 4 + Duration::from_millis(50);
@@ -772,38 +768,26 @@ fn classify_job_error(e: &io::Error) -> (WireError, String) {
     }
 }
 
-/// Applies a worker completion to its connection: writes the response,
-/// then replays any stashed bytes (which may admit the next job).
+/// Applies a worker completion to its connection: queues the response
+/// bytes, then replays any stashed bytes (which may admit the next job).
+/// Nothing is encoded here: a labeled job's reply arrives encoded, and is
+/// moved (not copied) into an empty output buffer.
 fn complete(
     shared: &Arc<Shared>,
     done_tx: &mpsc::Sender<Completion>,
     conn: &mut Conn,
     outcome: Outcome,
-    scratch: &mut Vec<u8>,
 ) {
     conn.phase = Phase::Prefix;
     conn.job_deadline = None;
     match outcome {
-        Outcome::Labeled { components, labels } => {
-            let _ = protocol::write_ok(
-                &mut conn.out,
-                conn.job_rows,
-                conn.job_cols,
-                components,
-                &labels,
-                scratch,
-            );
-            conn.flush_credit.push(Credit::Grid);
-        }
-        Outcome::Streamed { records, ooc } => {
-            let _ = protocol::write_stream_ok(
-                &mut conn.out,
-                conn.job_rows,
-                conn.job_cols,
-                &records,
-                scratch,
-            );
-            conn.flush_credit.push(Credit::Stream { ooc });
+        Outcome::Replied { bytes, credit } => {
+            if conn.out.is_empty() {
+                conn.out = bytes;
+            } else {
+                conn.out.extend_from_slice(&bytes);
+            }
+            conn.flush_credit.push(credit);
         }
         Outcome::Failed { code, detail } => {
             reject_to(shared, conn, code, &detail);
@@ -988,7 +972,6 @@ fn poll_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: PipeReader) {
     let mut listener = Some(listener);
     let mut conns: Vec<Conn> = Vec::new();
     let mut next_token: u64 = 0;
-    let mut scratch = Vec::new();
     let mut wake_rx = wake_rx;
 
     loop {
@@ -997,7 +980,7 @@ fn poll_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: PipeReader) {
         while let Ok(c) = done_rx.try_recv() {
             if let Some(conn) = conns.iter_mut().find(|k| k.token == c.token) {
                 if conn.phase == Phase::InFlight && conn.seq == c.seq {
-                    complete(shared, &done_tx, conn, c.outcome, &mut scratch);
+                    complete(shared, &done_tx, conn, c.outcome);
                 }
             }
         }
@@ -1152,7 +1135,9 @@ impl Engines {
         }
     }
 
-    fn run(&mut self, cfg: &ServeConfig, img: &Bitmap) -> (usize, Vec<u32>) {
+    /// Labels a grid job on the warm session its size routes to and
+    /// encodes the `OK` reply straight from the session's label grid.
+    fn run(&mut self, cfg: &ServeConfig, img: &Bitmap) -> Vec<u8> {
         if let Some(hook) = &cfg.job_hook {
             hook(img);
         }
@@ -1166,28 +1151,35 @@ impl Engines {
             &mut self.fast
         };
         let stats = engine.label_into(img, cfg.conn, &mut self.grid);
-        (stats.components, self.grid.as_slice().to_vec())
+        let mut reply = Vec::new();
+        let (rows, cols, labels) = (img.rows(), img.cols(), self.grid.as_slice());
+        protocol::encode_reply::<JobOk>(&mut reply, rows, cols, stats.components, labels);
+        reply
     }
 
     /// Labels a stream job straight from its buffered frame body, never
     /// materializing the pixels: the warm row streamer for in-core sizes,
     /// the out-of-core band scheduler above `max_pixels`. Returns the
-    /// records (moved out with the job, so no record capacity stays behind)
-    /// plus the job's peak carried state (frontier or boundary runs).
+    /// encoded `STREAM` reply plus the job's peak carried state (frontier
+    /// or boundary runs).
     fn run_stream(
         &mut self,
         cfg: &ServeConfig,
         body: &[u8],
         ooc: bool,
-    ) -> io::Result<(Vec<RetiredComponent>, u64)> {
+    ) -> io::Result<(Vec<u8>, u64)> {
         let mut rd = PbmRowReader::new(body)?;
-        if ooc {
+        let (rows, cols) = (rd.rows(), rd.cols());
+        let (records, peak) = if ooc {
             let run = self.ooc.label_source(&mut rd, cfg.conn)?;
-            Ok((run.components, run.stats.peak_carried_runs as u64))
+            (run.components, run.stats.peak_carried_runs)
         } else {
             let run = self.stream.label_source(&mut rd, cfg.conn)?;
-            Ok((run.components, run.stats.peak_frontier_runs as u64))
-        }
+            (run.components, run.stats.peak_frontier_runs)
+        };
+        let mut reply = Vec::new();
+        protocol::encode_reply::<JobStream>(&mut reply, rows, cols, records.len(), &records);
+        Ok((reply, peak as u64))
     }
 }
 
@@ -1207,17 +1199,20 @@ fn worker_loop(shared: &Arc<Shared>) {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             IN_JOB.with(|f| f.set(true));
             match &job.payload {
-                Payload::Grid(img) => {
-                    let (components, labels) = engines.run(cfg, img);
-                    Outcome::Labeled { components, labels }
-                }
+                Payload::Grid(img) => Outcome::Replied {
+                    bytes: engines.run(cfg, img),
+                    credit: Credit::Grid,
+                },
                 Payload::Stream { body, ooc } => match engines.run_stream(cfg, body, *ooc) {
-                    Ok((records, peak)) => {
+                    Ok((bytes, peak)) => {
                         shared
                             .stats
                             .peak_carried_runs
                             .fetch_max(peak, Ordering::Relaxed);
-                        Outcome::Streamed { records, ooc: *ooc }
+                        Outcome::Replied {
+                            bytes,
+                            credit: Credit::Stream { ooc: *ooc },
+                        }
                     }
                     Err(e) => {
                         let (code, detail) = classify_job_error(&e);
@@ -1496,15 +1491,23 @@ mod tests {
     #[test]
     fn a_bad_hello_is_rejected_and_closed() {
         let server = Server::bind("127.0.0.1:0", test_cfg()).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.write_all(b"HELLO slapd/2 sideways\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        match protocol::read_response(&mut reader).unwrap().unwrap() {
-            Response::Rejected { code, .. } => assert_eq!(code, WireError::BadFrame),
-            other => panic!("expected bad-frame, got {other:?}"),
+        // An unknown mode, and a protocol generation this build does not
+        // speak.
+        let hellos: [&[u8]; 2] = [b"HELLO slapd/2 sideways\n", b"HELLO slapd/3 stream\n"];
+        for hello in hellos {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.write_all(hello).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            match protocol::read_response(&mut reader).unwrap().unwrap() {
+                Response::Rejected { code, detail } => {
+                    assert_eq!(code, WireError::BadFrame);
+                    assert_eq!(detail, "bad hello line");
+                }
+                other => panic!("expected bad-frame, got {other:?}"),
+            }
+            assert!(protocol::read_response(&mut reader).unwrap().is_none());
         }
-        assert!(protocol::read_response(&mut reader).unwrap().is_none());
         let stats = server.shutdown();
-        assert_eq!(stats.bad_frame, 1);
+        assert_eq!(stats.bad_frame, 2);
     }
 }

@@ -2,13 +2,14 @@
 //! length-prefixed [`Frame`] codec (re-exported from
 //! [`slap_image::framing`], where the framed-PBM readers use the same
 //! implementation) plus the fixed-width binary codec for
-//! [`RetiredComponent`] feature records carried by protocol-v2 `STREAM`
-//! responses.
+//! [`RetiredComponent`] feature records, the items of a protocol-v2
+//! `STREAM` reply's counted payload.
 //!
-//! Every framed surface in the service — request framing, response record
-//! framing, multi-image PBM ingest — parses through one implementation, so
-//! the byte-soup property tests at the bottom of this module exercise the
-//! hostile-input behavior of all of them at once.
+//! Every framed surface in the service — request framing and multi-image
+//! PBM ingest — parses through one implementation, so the byte-soup
+//! property tests at the bottom of this module exercise the hostile-input
+//! behavior of all of them at once. Replies are not framed: their header
+//! line counts the payload ([`crate::protocol`]).
 
 pub use slap_image::framing::{Frame, FrameError, PrefixParser, MAX_FRAME_BYTES};
 use slap_image::RetiredComponent;
@@ -141,34 +142,5 @@ mod tests {
                 let _ = decode_record(&body);
             }
         }
-    }
-
-    #[test]
-    fn frames_of_records_concatenate_and_parse_back() {
-        // The exact shape a STREAM response carries: back-to-back record
-        // frames terminated by a zero-length frame.
-        let mut rng = DetRng::new(0x7a11);
-        let records: Vec<RetiredComponent> = (0..17).map(|_| arbitrary_record(&mut rng)).collect();
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        for rec in &records {
-            scratch.clear();
-            encode_record(rec, &mut scratch);
-            Frame::write(&mut wire, &scratch).unwrap();
-        }
-        Frame::write(&mut wire, b"").unwrap();
-        let mut r = &wire[..];
-        let mut body = Vec::new();
-        let mut got = Vec::new();
-        loop {
-            let len = Frame::read_into(&mut r, &mut body, RECORD_BYTES)
-                .expect("well-formed frames")
-                .expect("terminator before EOF");
-            if len == 0 {
-                break;
-            }
-            got.push(decode_record(&body).expect("exact record length"));
-        }
-        assert_eq!(got, records);
     }
 }
